@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical error (rank or conditioning),
 """
 
 import argparse
+import math
 import sys
 
 from . import experiments
@@ -16,7 +17,7 @@ from .errors import (
     PilotAllocationError,
     RankDeficiencyError,
 )
-from .prior import default_fit_grid, load_prior
+from .prior import MAX_FIT_GRID_POINTS, default_fit_grid, load_prior
 
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -109,8 +110,13 @@ def _add_grid_flags(p) -> None:
 
 
 def _fit_grid(args):
-    if args.fit_grid_max <= 0 or args.fit_grid_step <= 0:
-        raise _UsageError("fit grid bounds must be positive")
+    if not (0 < args.fit_grid_max < math.inf and 0 < args.fit_grid_step < math.inf):
+        raise _UsageError("fit grid bounds must be positive and finite")
+    # Count the points the way default_fit_grid does, before it allocates them.
+    ratio = args.fit_grid_max / args.fit_grid_step
+    points = round(ratio) + 1 if math.isfinite(ratio) else math.inf
+    if points > MAX_FIT_GRID_POINTS:
+        raise _UsageError(f"fit grid would have {points} points; at most {MAX_FIT_GRID_POINTS} are allowed")
     return default_fit_grid(args.fit_grid_max, args.fit_grid_step)
 
 

@@ -15,15 +15,20 @@ from .estimators import (
     mse_curve,
 )
 from .pa_model import PilotSequence, RappParameters, build_design_matrix, rapp_response
+# build_prior and draw_rapp_params are not called here any more.  They stay
+# importable from this module because perfbench's tracer wraps them here.
 from .prior import (
     COHERENT,
     NONCOHERENT,
     PriorConfig,
     RappDistribution,
+    build_prior,
     default_fit_grid,
     draw_rapp_params,
     fit_polynomial_to_curve,
-    build_prior,
+    fit_realizations,
+    prior_from_fits,
+    rapp_response_blocks,
 )
 
 PER_SYMBOL = "per-symbol"
@@ -41,10 +46,11 @@ DEFAULT_SNR_SWEEP_DB = tuple(i * 20.0 / 3.0 for i in range(10))
 
 @dataclass(frozen=True)
 class CsvTable:
-    """Rectangular numeric table serialized with 9 significant digits."""
+    """Rectangular numeric table serialized with ``digits`` significant digits."""
 
     header: tuple
     rows: np.ndarray
+    digits: int = 9
 
     def __post_init__(self) -> None:
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
@@ -59,7 +65,7 @@ class CsvTable:
     def to_csv(self) -> str:
         lines = [",".join(self.header)]
         for row in self.rows:
-            lines.append(",".join(format(value, ".9g") for value in row))
+            lines.append(",".join(format(value, f".{self.digits}g") for value in row))
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
@@ -128,9 +134,7 @@ def run_fig3(
     grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
     dist = RappDistribution()
     rng = np.random.default_rng(seed)
-    responses = np.empty((realizations, grid.size))
-    for m in range(realizations):
-        responses[m] = rapp_response(draw_rapp_params(dist, rng), grid)
+    responses = np.concatenate(list(rapp_response_blocks(dist, rng, realizations, grid)))
     nominal_params = RappParameters(dist.gain_mean, dist.v_sat_mean, dist.smoothness_mean)
     nominal = rapp_response(nominal_params, grid)
     fit_model = fit_polynomial_to_curve(nominal_params, order, grid)
@@ -164,10 +168,9 @@ def run_fig4(
     """Maximal prediction MSE against SNR for every estimator and allocation."""
     grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
     dist = RappDistribution()
-    priors = {
-        mode: build_prior(PriorConfig(realizations, order, grid, mode, seed), dist)
-        for mode in (COHERENT, NONCOHERENT)
-    }
+    # One set of fits serves both modes; each prior equals build_prior's for its mode.
+    fits = fit_realizations(PriorConfig(realizations, order, grid, COHERENT, seed), dist)
+    priors = {mode: prior_from_fits(fits, mode) for mode in (COHERENT, NONCOHERENT)}
     designs = {
         "uniform": build_design_matrix(uniform_pilots(n_pilots), order),
         "optimal": build_design_matrix(allocate_pilots(order, n_pilots), order),
@@ -213,7 +216,9 @@ def estimation_table(result: EstimationResult) -> CsvTable:
         for value in result.error_covariance[i]:
             row += [value.real, value.imag]
         rows.append(row)
-    return CsvTable(tuple(header), rows)
+    # Round-trip digits: 9 would perturb a nearly singular posterior covariance
+    # enough to make the printed matrix indefinite.
+    return CsvTable(tuple(header), rows, digits=17)
 
 
 def estimate_from_files(

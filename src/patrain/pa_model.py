@@ -139,8 +139,16 @@ def rapp_response(params: RappParameters, amplitude):
     a = np.asarray(amplitude, dtype=float)
     if np.any(a < 0):
         raise ValueError("amplitude must be nonnegative")
-    driven = params.gain * a
-    out = driven / (1.0 + (driven / params.v_sat) ** (2.0 * params.smoothness)) ** (
-        1.0 / (2.0 * params.smoothness)
-    )
+    out = rapp_am_am(params.gain, params.v_sat, params.smoothness, a)
     return float(out) if np.isscalar(amplitude) or a.ndim == 0 else out
+
+
+def rapp_am_am(gain, v_sat, smoothness, amplitude):
+    """The Rapp AM/AM expression of :func:`rapp_response`, broadcast over its inputs.
+
+    Parameter arrays shaped ``(k, 1)`` against an amplitude grid shaped ``(G,)``
+    give the ``(k, G)`` responses of ``k`` amplifiers without a Python loop.
+    Nothing is validated here.
+    """
+    driven = gain * amplitude
+    return driven / (1.0 + (driven / v_sat) ** (2.0 * smoothness)) ** (1.0 / (2.0 * smoothness))

@@ -1,9 +1,11 @@
 """Monte-Carlo construction of the LMMSE coefficient prior from random Rapp amplifiers.
 
 Each realization draws Rapp parameters, evaluates the amplifier on a fixed
-amplitude grid and fits an order-L polynomial by least squares.  The sample
-mean and covariance of the fitted coefficient vectors form the prior, either
-with the channel phase compensated (coherent) or averaged out (noncoherent).
+amplitude grid and fits an order-L polynomial by least squares.  Realizations
+are processed in blocks of array operations that reproduce the sequential
+draws of :func:`draw_rapp_params` exactly.  The sample mean and covariance of
+the fitted coefficient vectors form the prior, either with the channel phase
+compensated (coherent) or averaged out (noncoherent).
 """
 
 import csv
@@ -13,10 +15,19 @@ import numpy as np
 
 from .errors import CsvFormatError, RankDeficiencyError
 from .estimators import PriorStatistics
-from .pa_model import PaPolynomial, RappParameters, rapp_response
+from .pa_model import PaPolynomial, RappParameters, rapp_am_am, rapp_response
 
 COHERENT = "coherent"
 NONCOHERENT = "noncoherent"
+
+# Realizations drawn, evaluated and fitted together.  A block holds a few
+# (FIT_BLOCK, grid size) float arrays, so memory does not grow with the
+# realization count beyond the (realizations, order) coefficient array.
+FIT_BLOCK = 256
+
+# Largest fit grid the command line accepts: a block of FIT_BLOCK responses on
+# it takes about 20 MB per temporary array.
+MAX_FIT_GRID_POINTS = 10_000
 
 
 def default_fit_grid(max_amplitude: float = 1.5, step: float = 0.0625) -> np.ndarray:
@@ -72,38 +83,103 @@ def draw_rapp_params(dist: RappDistribution, rng: np.random.Generator) -> RappPa
             return RappParameters(gain, v_sat, smoothness)
 
 
+def _draw_accepted(loc: np.ndarray, scale: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` all-positive (gain, v_sat, smoothness) rows, rejecting as
+    :func:`draw_rapp_params` does.
+
+    Each round draws exactly as many rows as are still missing, so the stream
+    is consumed row by row in the same order as the sequential loop.
+    """
+    kept = []
+    while count:
+        draws = rng.normal(loc, scale, size=(count, 3))
+        draws = draws[(draws > 0).all(axis=1)]
+        kept.append(draws)
+        count -= len(draws)
+    return np.concatenate(kept)
+
+
+def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count: int, grid: np.ndarray):
+    """Responses of ``count`` random Rapp amplifiers on ``grid``.
+
+    Yields ``(k, grid.size)`` arrays of at most :data:`FIT_BLOCK` rows, in draw
+    order.  The parameters are the ones ``count`` calls to
+    :func:`draw_rapp_params` return, and each row equals :func:`rapp_response`
+    for them, bit for bit.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if np.any(grid < 0):
+        raise ValueError("amplitude must be nonnegative")
+    loc = np.array([dist.gain_mean, dist.v_sat_mean, dist.smoothness_mean])
+    scale = np.sqrt([dist.gain_variance, dist.v_sat_variance, dist.smoothness_variance])
+    for start in range(0, count, FIT_BLOCK):
+        params = _draw_accepted(loc, scale, rng, min(FIT_BLOCK, count - start))
+        yield rapp_am_am(params[:, :1], params[:, 1:2], params[:, 2:], grid)
+
+
+def _fit_basis(grid: np.ndarray, order: int) -> np.ndarray:
+    """The ``G x order`` monomial basis ``grid**1 .. grid**order``."""
+    if np.unique(grid[grid > 0]).size < order:
+        raise RankDeficiencyError("fit grid needs at least order distinct positive points")
+    return grid[:, None] ** np.arange(1, order + 1)
+
+
 def fit_polynomial_to_curve(params: RappParameters, order: int, grid: np.ndarray) -> PaPolynomial:
     """Least-squares polynomial fit to the Rapp response sampled on ``grid``."""
     grid = np.asarray(grid, dtype=float)
-    if np.unique(grid[grid > 0]).size < order:
-        raise RankDeficiencyError("fit grid needs at least order distinct positive points")
-    basis = grid[:, None] ** np.arange(1, order + 1)
+    basis = _fit_basis(grid, order)
     coefficients, *_ = np.linalg.lstsq(basis, rapp_response(params, grid), rcond=None)
     return PaPolynomial(coefficients.astype(complex))
 
 
-def build_prior(config: PriorConfig, dist: RappDistribution) -> PriorStatistics:
-    """Prior statistics from ``config.realizations`` fitted Rapp draws.
+def fit_realizations(config: PriorConfig, dist: RappDistribution) -> np.ndarray:
+    """``(realizations, fit_order)`` polynomial fits to ``config.realizations``
+    Rapp draws; ``config.mode`` is not used.
+
+    Row ``m`` fits the ``m``-th amplifier that sequential
+    :func:`draw_rapp_params` calls would draw.  Each block of responses is
+    fitted by one least-squares solve, which agrees with a
+    :func:`fit_polynomial_to_curve` call to a few ulps.
+    """
+    basis = _fit_basis(config.fit_grid, config.fit_order)
+    rng = np.random.default_rng(config.seed)
+    # Filled in place to stay C-ordered: on an F-ordered array the moment sums
+    # in prior_from_fits round differently.
+    coefficients = np.empty((config.realizations, config.fit_order), dtype=complex)
+    start = 0
+    for responses in rapp_response_blocks(dist, rng, config.realizations, config.fit_grid):
+        stop = start + len(responses)
+        coefficients[start:stop] = np.linalg.lstsq(basis, responses.T, rcond=None)[0].T
+        start = stop
+    return coefficients
+
+
+def prior_from_fits(coefficients: np.ndarray, mode: str) -> PriorStatistics:
+    """Prior statistics of the rows of ``coefficients`` in the given mode.
 
     Coherent mode keeps the sample mean and centers the covariance with the
     Hermitian outer product of the mean.  Noncoherent mode zeroes the mean and
     uses the raw second moment, since a uniformly random phase rotation drops
     out of the outer products.
     """
-    rng = np.random.default_rng(config.seed)
-    coefficients = np.empty((config.realizations, config.fit_order), dtype=complex)
-    for m in range(config.realizations):
-        params = draw_rapp_params(dist, rng)
-        coefficients[m] = fit_polynomial_to_curve(params, config.fit_order, config.fit_grid).coefficients
-    second_moment = coefficients.T @ coefficients.conj() / config.realizations
-    if config.mode == COHERENT:
+    realizations, order = coefficients.shape
+    second_moment = coefficients.T @ coefficients.conj() / realizations
+    if mode == COHERENT:
         mean = coefficients.mean(axis=0)
         covariance = second_moment - np.outer(mean, mean.conj())
-    else:
-        mean = np.zeros(config.fit_order, dtype=complex)
+    elif mode == NONCOHERENT:
+        mean = np.zeros(order, dtype=complex)
         covariance = second_moment
+    else:
+        raise ValueError(f"unknown prior mode: {mode!r}")
     covariance = 0.5 * (covariance + covariance.conj().T)
     return PriorStatistics(mean, covariance)
+
+
+def build_prior(config: PriorConfig, dist: RappDistribution) -> PriorStatistics:
+    """Prior statistics from ``config.realizations`` fitted Rapp draws, in
+    ``config.mode`` (see :func:`prior_from_fits`)."""
+    return prior_from_fits(fit_realizations(config, dist), config.mode)
 
 
 def save_prior(prior: PriorStatistics, mean_path, cov_path) -> None:

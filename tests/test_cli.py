@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from patrain import PriorConfig, RappDistribution, build_prior, save_prior
+from patrain import PriorConfig, RappDistribution, build_prior, cli, save_prior
 
 
 def run_cli(*args):
@@ -159,3 +159,13 @@ def test_usage_error_exit_code():
 def test_unknown_command_is_usage_error():
     proc = run_cli("not-a-command")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4"])
+def test_oversized_fit_grid_is_usage_error(command, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the oversized grid must not be built")
+
+    monkeypatch.setattr(cli, "default_fit_grid", refuse)
+    assert cli.main([command, "--fit-grid-step", "1e-9"]) == 2
+    assert "fit grid" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from patrain import experiments
+from patrain import prior as prior_module
 from patrain import (
     PriorConfig,
     RankDeficiencyError,
@@ -136,3 +138,70 @@ def test_prior_csv_round_trip(tmp_path):
 def test_prior_config_validates_grid():
     with pytest.raises(ValueError):
         PriorConfig(fit_order=7, fit_grid=np.array([0.0, 0.5, 1.0]))
+
+
+REJECTION_HEAVY = RappDistribution(gain_mean=0.1, gain_variance=1.0)
+
+
+@pytest.mark.parametrize("dist", [RappDistribution(), DEGENERATE, REJECTION_HEAVY])
+@pytest.mark.parametrize("count", [prior_module.FIT_BLOCK - 1, prior_module.FIT_BLOCK, prior_module.FIT_BLOCK + 1])
+def test_block_draw_matches_sequential_stream(dist, count):
+    grid = default_fit_grid()
+    sequential_rng = np.random.default_rng(17)
+    expected = np.array([rapp_response(draw_rapp_params(dist, sequential_rng), grid) for _ in range(count)])
+    block_rng = np.random.default_rng(17)
+    blocks = list(prior_module.rapp_response_blocks(dist, block_rng, count, grid))
+    assert max(len(block) for block in blocks) <= prior_module.FIT_BLOCK
+    assert np.array_equal(np.concatenate(blocks), expected)
+    # The same number of normals was consumed, rejected draws included.
+    assert block_rng.bit_generator.state == sequential_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", ["coherent", "noncoherent"])
+def test_prior_matches_reference_fit_loop(mode):
+    config = PriorConfig(prior_module.FIT_BLOCK + 40, 7, mode=mode, seed=9)
+    rng = np.random.default_rng(config.seed)
+    fits = np.array(
+        [
+            fit_polynomial_to_curve(draw_rapp_params(RappDistribution(), rng), 7, config.fit_grid).coefficients
+            for _ in range(config.realizations)
+        ]
+    )
+    second_moment = fits.T @ fits.conj() / config.realizations
+    if mode == "coherent":
+        mean = fits.mean(axis=0)
+        covariance = second_moment - np.outer(mean, mean.conj())
+    else:
+        mean = np.zeros(7)
+        covariance = second_moment
+    prior = build_prior(config, RappDistribution())
+    scale = np.abs(covariance).max()
+    assert np.abs(prior.covariance - covariance).max() <= 1e-12 * scale
+    assert np.abs(prior.mean - mean).max() <= 1e-12 * np.abs(fits).max()
+
+
+def test_fig4_priors_come_from_one_fit_and_equal_build_prior(monkeypatch):
+    fit_calls, priors = [], {}
+
+    def counting_fit(config, dist):
+        fit_calls.append(config)
+        return prior_module.fit_realizations(config, dist)
+
+    def recording_prior(fits, mode):
+        priors[mode] = prior_module.prior_from_fits(fits, mode)
+        return priors[mode]
+
+    monkeypatch.setattr(experiments, "fit_realizations", counting_fit)
+    monkeypatch.setattr(experiments, "prior_from_fits", recording_prior)
+    experiments.run_fig4(order=5, n_pilots=5, snr_db_list=[10.0], realizations=60, seed=4)
+    assert len(fit_calls) == 1
+    assert set(priors) == {"coherent", "noncoherent"}
+    for mode, prior in priors.items():
+        expected = build_prior(PriorConfig(60, 5, mode=mode, seed=4), RappDistribution())
+        assert np.array_equal(prior.mean, expected.mean)
+        assert np.array_equal(prior.covariance, expected.covariance)
+
+
+def test_prior_from_fits_rejects_unknown_mode():
+    with pytest.raises(ValueError):
+        prior_module.prior_from_fits(np.ones((3, 2), dtype=complex), "partial")
