@@ -13,6 +13,7 @@ from .design import (
     uniform_pilots,
 )
 from .errors import (
+    ConvergenceError,
     CsvFormatError,
     DimensionMismatchError,
     IllConditionedBasisError,

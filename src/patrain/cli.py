@@ -26,9 +26,12 @@ EXIT_IO = 4
 
 def _parse_snr_list(text: str):
     try:
-        return [float(item) for item in text.split(",") if item.strip() != ""]
+        values = [float(item) for item in text.split(",") if item.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid SNR list: {text!r}")
+    if not all(math.isfinite(value) for value in values):
+        raise argparse.ArgumentTypeError(f"SNR points must be finite: {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,6 +174,7 @@ def _cmd_fig4(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    _check(args.order >= 1 and args.pilots >= 1, "order and pilots must be positive")
     _check(args.max_amplitude > 0, "max amplitude must be positive")
     table = experiments.design_table(
         args.order, args.pilots, args.max_amplitude, args.allocation

@@ -4,8 +4,10 @@ For order ``L`` the optimal design places pilots on ``L`` support amplitudes:
 ``t = 1`` plus the points ``t = (x + 1) / 2`` where ``x`` runs over the roots of
 the derivative of the degree-``L`` Legendre polynomial.  With ``N`` a multiple
 of ``L``, each support amplitude carries ``N / L`` pilots and pilot phases are
-free.  An independent coordinate-exchange search over the D-criterion is
-provided as a cross-check of that construction.
+free.  An independent Fedorov exchange over a grid of amplitudes checks that
+construction: it maximizes the D-criterion in the shifted Legendre basis, and
+the Kiefer-Wolfowitz equivalence theorem certifies what it finds, since at the
+D-optimum the largest prediction MSE over [0, 1] is ``sigma2 L / N``.
 """
 
 from dataclasses import dataclass
@@ -13,11 +15,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PilotAllocationError
+from .errors import ConvergenceError, PilotAllocationError, RankDeficiencyError
 from .pa_model import PilotSequence, build_design_matrix
 
 ROOT_BISECTION_TOL = 1e-8
 ROOT_NEWTON_TOL = 1e-13
+
+# Exchange search: a sweep that moves no pilot ends it.  A move must raise the
+# determinant by more than EXCHANGE_MIN_GAIN relative, so that rounding noise
+# in the determinant ratio cannot pass for progress and keep the sweeps going.
+EXCHANGE_MAX_SWEEPS = 500
+EXCHANGE_MIN_GAIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,10 +39,9 @@ class OptimalDesign:
 
 @dataclass(frozen=True)
 class DesignCriterionValue:
-    """Log-determinant of the estimator error covariance under a criterion tag."""
+    """D-criterion: log-determinant of the LS error covariance."""
 
     log_det: float
-    criterion: str = "D"
 
 
 def legendre_eval(order: int, x: float) -> tuple[float, float]:
@@ -213,44 +220,59 @@ def exchange_search_verify(
     grid_resolution: int = 1000,
     seed: int = 0,
 ) -> tuple[PilotSequence, DesignCriterionValue]:
-    """Coordinate-exchange D-criterion search, an independent optimality check.
+    """Fedorov-exchange D-criterion search, an independent optimality check.
 
-    Starting from the uniform allocation, one pilot amplitude at a time is moved
-    to the best point of a uniform grid over [0, 1] (``grid_resolution`` steps,
-    endpoints included) until no single move improves the criterion.  Returns
-    the local optimum found and its criterion value at unit noise variance.
+    Starting from the uniform allocation snapped to a uniform grid over [0, 1]
+    (``grid_resolution`` steps, endpoints included), each pilot in turn, in a
+    seeded random order, moves to the grid point that raises ``det(Phi^T Phi)``
+    the most, until a sweep moves no pilot.  Returns the design found and its
+    criterion value at unit noise variance.
+
+    The search runs in the shifted Legendre basis ``t P_k(2t - 1)``, which
+    changes every log-determinant by the same constant, so the same moves win.
+    With ``M`` the information matrix of the current pilots and
+    ``d(x, y) = f(x)^T M^-1 f(y)``, replacing pilot ``x_j`` by ``x`` scales the
+    determinant by ``(1 + d(x))(1 - d(x_j)) + d(x, x_j)^2`` (Fedorov, 1972);
+    all candidates are scored from one solve against the triangular factor of
+    the current pilots' basis rows.  A move counts only
+    if it raises the determinant by more than ``EXCHANGE_MIN_GAIN`` relative.
+    At the optimum the Kiefer-Wolfowitz bound ``max_t d(t) = L / N`` holds up
+    to the grid spacing, which ``max_prediction_mse`` of the result shows.
+
+    Raises :class:`RankDeficiencyError` when the start design is singular and
+    :class:`ConvergenceError` when ``EXCHANGE_MAX_SWEEPS`` sweeps all moved a
+    pilot.
     """
     if grid_resolution < 100:
         raise ValueError("grid_resolution must be >= 100")
     optimal_design(order, n_pilots)  # validates the multiplicity up front
     rng = np.random.default_rng(seed)
-    powers = np.arange(1, order + 1)
     grid = np.linspace(0.0, 1.0, grid_resolution + 1)
-    candidates = grid[:, None] ** powers
-    amplitudes = np.arange(1, n_pilots + 1) / n_pilots
-    rows = amplitudes[:, None] ** powers
-
-    def gram_log_det(gram):
-        sign, log_det = np.linalg.slogdet(gram)
-        return log_det if sign > 0 else -np.inf
-
-    gram = rows.T @ rows
-    best = gram_log_det(gram)
-    for _ in range(500):
-        improved = False
-        for index in rng.permutation(n_pilots):
-            partial = gram - np.outer(rows[index], rows[index])
-            trials = partial[None, :, :] + candidates[:, :, None] * candidates[:, None, :]
-            signs, log_dets = np.linalg.slogdet(trials)
-            log_dets = np.where(signs > 0, log_dets, -np.inf)
-            choice = int(np.argmax(log_dets))
-            if log_dets[choice] > best + 1e-12:
-                rows[index] = candidates[choice]
-                amplitudes[index] = grid[choice]
-                improved = True
-            gram = rows.T @ rows  # rebuilt to avoid update drift
-            best = gram_log_det(gram)
-        if not improved:
+    basis = grid[:, None] * np.polynomial.legendre.legvander(2.0 * grid - 1.0, order - 1)
+    index = np.rint(np.arange(1, n_pilots + 1) / n_pilots * grid_resolution).astype(int)
+    # Moves only raise the determinant, so a regular start stays regular.
+    if d_criterion(basis[index], 1.0).log_det == np.inf:
+        raise RankDeficiencyError(
+            f"exchange start on {grid_resolution + 1} grid points is singular at order {order}"
+        )
+    for _ in range(EXCHANGE_MAX_SWEEPS):
+        moved = False
+        for j in rng.permutation(n_pilots):
+            r = np.linalg.qr(basis[index], mode="r")
+            # Column x of z is R^-T f(x), so d(x, y) = z[:, x] . z[:, y].
+            z = np.linalg.solve(r.T, basis.T)
+            d = np.einsum("ij,ij->j", z, z)
+            d_cross = z[:, index[j]] @ z
+            ratio = (1.0 + d) * (1.0 - d[index[j]]) + d_cross**2
+            choice = int(np.argmax(ratio))
+            if choice != index[j] and ratio[choice] > 1.0 + EXCHANGE_MIN_GAIN:
+                index[j] = choice
+                moved = True
+        if not moved:
             break
-    pilots = PilotSequence(np.sort(amplitudes).astype(complex), 1.0)
+    else:
+        raise ConvergenceError(
+            f"exchange search at order {order} still moved pilots after {EXCHANGE_MAX_SWEEPS} sweeps"
+        )
+    pilots = PilotSequence(np.sort(grid[index]).astype(complex), 1.0)
     return pilots, d_criterion(build_design_matrix(pilots, order), 1.0)

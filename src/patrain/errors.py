@@ -27,3 +27,7 @@ class DimensionMismatchError(PatrainError):
 
 class CsvFormatError(PatrainError):
     """A CSV file does not follow the expected schema."""
+
+
+class ConvergenceError(PatrainError):
+    """An iterative search stopped at its iteration cap without converging."""

@@ -5,6 +5,7 @@ normal-equation inverse is never formed for the estimate itself.  Covariance
 matrices are produced by solving factorized systems against the identity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ from .pa_model import CONDITION_LIMIT, PaPolynomial, PilotSequence, eval_polynom
 SINGULAR_PRIOR_THRESHOLD = 1e-12
 
 
+def _require_noise_variance(sigma2: float) -> None:
+    """Reject a noise variance that is not finite and strictly positive."""
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise InvalidNoiseError(f"noise variance must be finite and strictly positive, got {sigma2!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Circularly symmetric complex noise: total variance ``variance`` per sample."""
@@ -26,8 +33,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.variance > 0:
-            raise InvalidNoiseError("noise variance must be strictly positive")
+        _require_noise_variance(self.variance)
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,7 @@ def _prior_is_near_singular(covariance: np.ndarray) -> bool:
 
 def ls_estimate(design: np.ndarray, observations: np.ndarray, sigma2: float) -> EstimationResult:
     """Least-squares estimate with error covariance ``sigma2 * (Phi^H Phi)^-1``."""
+    _require_noise_variance(sigma2)
     observations = np.asarray(observations, dtype=complex)
     design = np.asarray(design, dtype=complex)
     if observations.shape != (design.shape[0],):
@@ -171,8 +178,7 @@ def lmmse_estimate(
     covariance is invertible and switches to the algebraically equivalent
     observation-space form when it is singular or nearly so.
     """
-    if not sigma2 > 0:
-        raise InvalidNoiseError("noise variance must be strictly positive")
+    _require_noise_variance(sigma2)
     design = np.asarray(design, dtype=complex)
     observations = np.asarray(observations, dtype=complex)
     if design.ndim != 2 or design.shape[1] != prior.order:
@@ -202,6 +208,7 @@ def prediction_covariance(
     Returns ``sigma2 * Phi_t (Phi^H Phi)^-1 Phi_t^H`` without a prior and the
     LMMSE counterpart with the prior precision added when one is given.
     """
+    _require_noise_variance(sigma2)
     design = np.asarray(design, dtype=complex)
     prediction_design = np.asarray(prediction_design, dtype=complex)
     if prediction_design.ndim != 2 or prediction_design.shape[1] != design.shape[1]:
@@ -221,6 +228,7 @@ def _mse_evaluator(design: np.ndarray, sigma2: float, prior: PriorStatistics | N
     evaluator works on real nonnegative amplitudes and factorizes the design
     once up front.
     """
+    _require_noise_variance(sigma2)
     design = np.asarray(design, dtype=complex)
     order = design.shape[1]
     if prior is None:

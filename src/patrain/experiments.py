@@ -22,6 +22,7 @@ from .prior import (
     NONCOHERENT,
     PriorConfig,
     RappDistribution,
+    _check_fit_grid,
     build_prior,
     default_fit_grid,
     draw_rapp_params,
@@ -167,6 +168,8 @@ def run_fig4(
 ) -> CsvTable:
     """Maximal prediction MSE against SNR for every estimator and allocation."""
     grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
+    # A short grid is a rank error here, as in run_fig3, not PriorConfig's ValueError.
+    _check_fit_grid(grid, order)
     dist = RappDistribution()
     # One set of fits serves both modes; each prior equals build_prior's for its mode.
     fits = fit_realizations(PriorConfig(realizations, order, grid, COHERENT, seed), dist)

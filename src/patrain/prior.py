@@ -117,10 +117,15 @@ def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count
         yield rapp_am_am(params[:, :1], params[:, 1:2], params[:, 2:], grid)
 
 
-def _fit_basis(grid: np.ndarray, order: int) -> np.ndarray:
-    """The ``G x order`` monomial basis ``grid**1 .. grid**order``."""
+def _check_fit_grid(grid: np.ndarray, order: int) -> None:
+    """Reject a fit grid on which an order-``order`` fit is rank deficient."""
     if np.unique(grid[grid > 0]).size < order:
         raise RankDeficiencyError("fit grid needs at least order distinct positive points")
+
+
+def _fit_basis(grid: np.ndarray, order: int) -> np.ndarray:
+    """The ``G x order`` monomial basis ``grid**1 .. grid**order``."""
+    _check_fit_grid(grid, order)
     return grid[:, None] ** np.arange(1, order + 1)
 
 

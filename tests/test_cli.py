@@ -156,6 +156,28 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_infinite_noise_is_numerical_error(capsys):
+    assert cli.main(["fig1", "--sigma2", "inf"]) == 3
+    assert "noise variance" in capsys.readouterr().err
+
+
+def test_design_rejects_nonpositive_order():
+    assert cli.main(["design", "--order", "0"]) == 2
+
+
+@pytest.mark.parametrize("snr_list", ["nan", "0,inf", "0,-inf"])
+def test_fig4_rejects_nonfinite_snr(snr_list):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["fig4", "--snr-db-list", snr_list])
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4"])
+def test_short_fit_grid_is_numerical_error(command, capsys):
+    assert cli.main([command, "--fit-grid-max", "0.1", "--fit-grid-step", "0.05"]) == 3
+    assert "fit grid" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error():
     proc = run_cli("not-a-command")
     assert proc.returncode == 2

@@ -4,8 +4,10 @@ from numpy.polynomial import legendre as npleg
 from numpy.testing import assert_allclose
 
 from patrain import (
+    ConvergenceError,
     PilotAllocationError,
     PilotSequence,
+    RankDeficiencyError,
     allocate_pilots,
     build_design_matrix,
     d_criterion,
@@ -18,6 +20,7 @@ from patrain import (
     prediction_mse,
     uniform_pilots,
 )
+from patrain import design
 
 
 # ------------------------------------------------------------------- Legendre
@@ -209,6 +212,30 @@ def test_exchange_search_confirms_support_design():
 def test_exchange_search_rejects_small_grid():
     with pytest.raises(ValueError):
         exchange_search_verify(2, 2, grid_resolution=50)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exchange_search_oracle_and_certificate_to_order_twelve(seed):
+    for order in range(2, 13):
+        n_pilots = order
+        pilots, found = exchange_search_verify(order, n_pilots, grid_resolution=1000, seed=seed)
+        analytic = d_criterion(build_design_matrix(allocate_pilots(order, n_pilots), order), 1.0)
+        assert analytic.log_det - 1e-6 <= found.log_det <= analytic.log_det + 2e-3, order
+        # Kiefer-Wolfowitz: at the D-optimum the largest prediction variance is L / N.
+        found_phi = build_design_matrix(pilots, order)
+        assert max_prediction_mse(found_phi, 1.0) * n_pilots / order - 1.0 <= 1e-3, order
+
+
+def test_exchange_search_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(design, "EXCHANGE_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError):
+        exchange_search_verify(6, 6, grid_resolution=1000, seed=0)
+
+
+def test_exchange_search_singular_start_raises():
+    # 102 pilots snap onto at most 101 grid points: fewer than the 102 columns.
+    with pytest.raises(RankDeficiencyError):
+        exchange_search_verify(102, 102, grid_resolution=100)
 
 
 # ------------------------------------------------------------------ minimax

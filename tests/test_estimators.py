@@ -341,3 +341,22 @@ def test_noise_empirical_variance():
 def test_noise_model_requires_positive_variance():
     with pytest.raises(InvalidNoiseError):
         NoiseModel(0.0)
+
+
+@pytest.mark.parametrize("sigma2", [-1.0, 0.0, np.inf, np.nan])
+def test_every_estimator_rejects_invalid_noise(sigma2):
+    phi = build_design_matrix(allocate_pilots(3, 3), 3)
+    prior = PriorStatistics(np.zeros(3), np.eye(3, dtype=complex))
+    calls = [
+        lambda: NoiseModel(sigma2),
+        lambda: ls_estimate(phi, np.zeros(3), sigma2),
+        lambda: lmmse_estimate(phi, np.zeros(3), sigma2, prior),
+        lambda: prediction_covariance(phi, phi, sigma2),
+        lambda: prediction_mse(phi, 0.5, sigma2),
+        lambda: mse_curve(phi, np.linspace(0.0, 1.0, 5), sigma2),
+        lambda: max_prediction_mse(phi, sigma2),
+        lambda: max_prediction_mse(phi, sigma2, prior),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidNoiseError):
+            call()
