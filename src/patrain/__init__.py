@@ -18,6 +18,8 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedBasisError,
     InvalidNoiseError,
+    InvalidPriorError,
+    NonFiniteInputError,
     PatrainError,
     PilotAllocationError,
     RankDeficiencyError,

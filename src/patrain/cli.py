@@ -1,7 +1,7 @@
 """Command-line front end writing experiment results as CSV files.
 
-Exit codes: 0 success, 2 usage error, 3 numerical error (rank or conditioning),
-4 I/O or CSV format error.
+Exit codes: 0 success, 2 usage error, 3 numerical error (rank or conditioning,
+noise variance, invalid prior), 4 I/O or CSV format error.
 """
 
 import argparse
@@ -14,6 +14,8 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedBasisError,
     InvalidNoiseError,
+    InvalidPriorError,
+    NonFiniteInputError,
     PilotAllocationError,
     RankDeficiencyError,
 )
@@ -96,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--order", type=int, required=True)
     p_est.add_argument("--sigma2", type=float, required=True)
     p_est.add_argument(
-        "--estimator", choices=["ls", "lmmse-coh", "lmmse-noncoh"], default=None,
+        "--estimator", choices=["ls", "lmmse"], default=None,
         help="estimator to run (default: ls, or lmmse when a prior is given)",
     )
     p_est.add_argument("--prior-mean", default=None, help="prior mean CSV (with --prior-cov)")
@@ -193,7 +195,7 @@ def _cmd_estimate(args) -> int:
     if args.estimator is not None:
         _check(
             (args.estimator == "ls") != has_prior,
-            "ls takes no prior files; lmmse estimators require them",
+            "ls takes no prior files; lmmse requires them",
         )
     pilots = experiments.read_pilot_csv(args.pilot_csv)
     observations = experiments.read_observation_csv(args.observation_csv)
@@ -210,7 +212,9 @@ def main(argv=None) -> int:
     except (_UsageError, PilotAllocationError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RankDeficiencyError, IllConditionedBasisError, InvalidNoiseError) as exc:
+    except (
+        RankDeficiencyError, IllConditionedBasisError, InvalidNoiseError, InvalidPriorError, NonFiniteInputError
+    ) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (CsvFormatError, OSError) as exc:

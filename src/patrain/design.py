@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, PilotAllocationError, RankDeficiencyError
+from .estimators import _posterior
 from .pa_model import PilotSequence, build_design_matrix
 
 ROOT_BISECTION_TOL = 1e-8
@@ -201,16 +202,14 @@ def uniform_pilots(n_pilots: int, max_amplitude: float = 1.0) -> PilotSequence:
 def d_criterion(design: np.ndarray, sigma2: float) -> DesignCriterionValue:
     """Log-determinant of the LS error covariance, ``L log sigma2 - log det(Phi^H Phi)``.
 
-    Rank-deficient designs yield an infinite criterion value.
+    Read from the triangular factor of the LS estimator.  A design that fails
+    its rank test, so that :func:`ls_estimate` raises, yields an infinite value.
     """
-    design = np.asarray(design, dtype=complex)
-    n, order = design.shape
-    if n < order:
+    try:
+        r = _posterior(design, sigma2).r
+    except RankDeficiencyError:
         return DesignCriterionValue(np.inf)
-    diag = np.abs(np.diag(np.linalg.qr(design, mode="r")))
-    if diag.min() == 0.0 or diag.max() / diag.min() >= 1e12:
-        return DesignCriterionValue(np.inf)
-    log_det = order * np.log(sigma2) - 2.0 * np.sum(np.log(diag))
+    log_det = r.shape[0] * np.log(sigma2) - 2.0 * np.sum(np.log(np.abs(np.diag(r))))
     return DesignCriterionValue(float(log_det))
 
 

@@ -31,3 +31,11 @@ class CsvFormatError(PatrainError):
 
 class ConvergenceError(PatrainError):
     """An iterative search stopped at its iteration cap without converging."""
+
+
+class InvalidPriorError(PatrainError, ValueError):
+    """Prior mean or covariance is non-finite, not Hermitian or not PSD."""
+
+
+class NonFiniteInputError(PatrainError, ValueError):
+    """An input array holds NaN or infinite entries."""

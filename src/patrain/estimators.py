@@ -1,21 +1,28 @@
 """Complex LS and LMMSE coefficient estimation with analytic error covariances.
 
-Estimates are obtained through orthogonal factorizations; the explicit
-normal-equation inverse is never formed for the estimate itself.  Covariance
-matrices are produced by solving factorized systems against the identity.
+Both estimators are one regularized least-squares problem, factored by one QR
+in :func:`_posterior`: of the design ``Phi`` for LS, and of ``[Phi T; sigma I]``
+for LMMSE with the prior whitened as ``C = T T^H``, which covers singular
+priors and never forms ``C^-1``.  Estimates, covariances, prediction MSE and
+the D-criterion all read its factor ``R`` and error-covariance root.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, qr, solve_triangular
 
-from .errors import DimensionMismatchError, InvalidNoiseError, RankDeficiencyError
+from .errors import (
+    DimensionMismatchError,
+    InvalidNoiseError,
+    InvalidPriorError,
+    NonFiniteInputError,
+    RankDeficiencyError,
+)
 from .pa_model import CONDITION_LIMIT, PaPolynomial, PilotSequence, eval_polynomial
 
-# Below this fraction of the average prior eigenvalue the prior covariance is
-# treated as singular and the observation-space LMMSE form is used.
+# Prior directions whose eigenvalue is at or below this fraction of the mean
+# prior eigenvalue are treated as known exactly and dropped from the whitening.
 SINGULAR_PRIOR_THRESHOLD = 1e-12
 
 
@@ -23,6 +30,13 @@ def _require_noise_variance(sigma2: float) -> None:
     """Reject a noise variance that is not finite and strictly positive."""
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise InvalidNoiseError(f"noise variance must be finite and strictly positive, got {sigma2!r}")
+
+
+def _require_finite(values: np.ndarray, label: str) -> np.ndarray:
+    values = np.asarray(values, dtype=complex)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteInputError(f"{label} holds NaN or infinite entries")
+    return values
 
 
 @dataclass(frozen=True)
@@ -38,7 +52,12 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class PriorStatistics:
-    """Prior mean and Hermitian PSD covariance of the polynomial coefficients."""
+    """Prior mean and Hermitian PSD covariance of the polynomial coefficients.
+
+    The covariance must be Hermitian within 1e-12 of its largest entry and PSD
+    within 1e-10 of the largest entry of the second moment ``C + m m^H``; a
+    prior that fails, or is not finite, raises :class:`InvalidPriorError`.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -48,10 +67,15 @@ class PriorStatistics:
         cov = np.asarray(self.covariance, dtype=complex)
         if cov.shape != (mean.size, mean.size):
             raise DimensionMismatchError("covariance shape must match the mean length")
-        if np.abs(cov - cov.conj().T).max(initial=0.0) > 1e-12:
-            raise ValueError("covariance must be Hermitian within 1e-12")
-        if mean.size and np.linalg.eigvalsh(cov).min() < -1e-10:
-            raise ValueError("covariance must be positive semidefinite")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise InvalidPriorError("prior mean and covariance must be finite")
+        if np.abs(cov - cov.conj().T).max(initial=0.0) > 1e-12 * np.abs(cov).max(initial=0.0):
+            raise InvalidPriorError("covariance must be Hermitian within 1e-12 of its largest entry")
+        # A covariance computed as E[b b^H] - m m^H carries round-off on the
+        # scale of the second moment, so that is what the PSD test compares to.
+        second_moment = np.abs(cov + np.outer(mean, mean.conj())).max(initial=0.0)
+        if mean.size and np.linalg.eigvalsh(cov).min() < -1e-10 * second_moment:
+            raise InvalidPriorError("covariance must be positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
@@ -88,85 +112,81 @@ class MseCurve:
         object.__setattr__(self, "mse_values", vals)
 
 
-def _hermitize(matrix: np.ndarray) -> np.ndarray:
-    return 0.5 * (matrix + matrix.conj().T)
+@dataclass(frozen=True)
+class _Posterior:
+    """Factor ``q r`` of the (whitened) design; error covariance ``sigma2 root root^H``."""
+
+    q: np.ndarray
+    r: np.ndarray
+    root: np.ndarray
+    sigma2: float
+
+    def covariance(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Error covariance of ``rows @ beta`` (of ``beta`` itself by default)."""
+        z = self.root if rows is None else rows @ self.root
+        cov = self.sigma2 * (z @ z.conj().T)
+        return 0.5 * (cov + cov.conj().T)
+
+    def mse(self, amplitudes) -> np.ndarray:
+        """Prediction MSE at real nonnegative amplitudes, where it depends on nothing else."""
+        a = np.atleast_1d(np.asarray(amplitudes, dtype=float))
+        z = (a[:, None] ** np.arange(1, self.root.shape[0] + 1)) @ self.root
+        return self.sigma2 * np.sum(np.abs(z) ** 2, axis=1)
 
 
-def _full_rank_qr(design: np.ndarray):
-    """Economy QR of a design matrix, rejecting rank-deficient inputs."""
-    design = np.asarray(design, dtype=complex)
+def _posterior(design: np.ndarray, sigma2: float, prior: PriorStatistics | None = None) -> _Posterior:
+    """Factor the LS problem (no prior) or the whitened LMMSE problem with one QR.
+
+    LS takes the QR of ``Phi``.  LMMSE writes the prior covariance as
+    ``C = T T^H`` from its eigendecomposition, keeping the directions whose
+    eigenvalue exceeds ``SINGULAR_PRIOR_THRESHOLD`` times the mean eigenvalue,
+    and takes the QR of ``[Phi T; sigma I]``.  Either way the error covariance
+    is ``sigma2 root root^H`` with ``root = R^-1`` (LS) or ``T R^-1`` (LMMSE).
+    The one rank test is ``cond(R) >= CONDITION_LIMIT``; ``cond(R)`` equals the
+    condition number of the factored system.
+    """
+    _require_noise_variance(sigma2)
+    design = _require_finite(design, "design matrix")
+    if design.ndim != 2 or (prior is not None and design.shape[1] != prior.order):
+        raise DimensionMismatchError("design matrix must be 2-D and, with a prior, as wide as its order")
     n, order = design.shape
-    if n < order:
-        raise RankDeficiencyError(f"need at least {order} pilots, got {n}")
-    cond = np.linalg.cond(design)
-    if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
+    if prior is None:
+        if n < order:
+            raise RankDeficiencyError(f"need at least {order} pilots, got {n}")
+        whiten = None
+        stacked = design
+    else:
+        eigenvalues, eigenvectors = np.linalg.eigh(prior.covariance)
+        keep = eigenvalues > SINGULAR_PRIOR_THRESHOLD * eigenvalues.mean()
+        whiten = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
+        stacked = np.vstack([design @ whiten, math.sqrt(sigma2) * np.eye(whiten.shape[1])])
+    q, r = np.linalg.qr(stacked)
+    # The one rank test, cond(R) >= CONDITION_LIMIT, written without dividing by zero.
+    singular_values = np.linalg.svd(r, compute_uv=False)
+    if r.size and not singular_values[-1] * CONDITION_LIMIT > singular_values[0]:
         raise RankDeficiencyError(
-            "design matrix is rank deficient; at least L pilots with distinct "
-            f"magnitudes are required (condition number {cond:.3e})"
+            f"condition number {np.linalg.cond(r):.3e} of the factored system reaches {CONDITION_LIMIT:.0e}; "
+            "LS needs at least L pilots with distinct magnitudes"
         )
-    q, r = qr(design, mode="economic")
-    return q, r
+    root = np.linalg.inv(r)
+    if whiten is not None:
+        root = whiten @ root
+    return _Posterior(q[:n], r, root, sigma2)
 
 
-def _amplitude_powers(amplitudes: np.ndarray, order: int) -> np.ndarray:
-    """Rows of basis values at real nonnegative amplitudes, entry (k, l) = a_k^l."""
-    a = np.asarray(amplitudes, dtype=float)
-    return a[:, None] ** np.arange(1, order + 1)
-
-
-def _prior_is_near_singular(covariance: np.ndarray) -> bool:
-    eigenvalues = np.linalg.eigvalsh(covariance)
-    order = covariance.shape[0]
-    return eigenvalues[0] * order <= SINGULAR_PRIOR_THRESHOLD * np.trace(covariance).real
+def _check_observations(design: np.ndarray, observations: np.ndarray) -> np.ndarray:
+    observations = _require_finite(observations, "observations")
+    if observations.shape != (np.shape(design)[0],):
+        raise DimensionMismatchError("observation length must match the number of pilots")
+    return observations
 
 
 def ls_estimate(design: np.ndarray, observations: np.ndarray, sigma2: float) -> EstimationResult:
     """Least-squares estimate with error covariance ``sigma2 * (Phi^H Phi)^-1``."""
-    _require_noise_variance(sigma2)
-    observations = np.asarray(observations, dtype=complex)
-    design = np.asarray(design, dtype=complex)
-    if observations.shape != (design.shape[0],):
-        raise DimensionMismatchError("observation length must match the number of pilots")
-    q, r = _full_rank_qr(design)
-    estimate = solve_triangular(r, q.conj().T @ observations, lower=False)
-    r_inv = solve_triangular(r, np.eye(design.shape[1], dtype=complex), lower=False)
-    covariance = _hermitize(sigma2 * (r_inv @ r_inv.conj().T))
-    return EstimationResult(estimate, covariance)
-
-
-def _lmmse_information_form(design, observations, sigma2, prior):
-    order = prior.order
-    prior_chol = cholesky(prior.covariance, lower=True)
-    eye = np.eye(order, dtype=complex)
-    prior_precision = solve_triangular(prior_chol, eye, lower=True)
-    prior_precision = prior_precision.conj().T @ prior_precision
-    a = _hermitize(design.conj().T @ design + sigma2 * prior_precision)
-    a_chol = cholesky(a, lower=True)
-
-    def solve_a(rhs):
-        tmp = solve_triangular(a_chol, rhs, lower=True)
-        return solve_triangular(a_chol, tmp, lower=True, trans="C")
-
-    residual = observations - design @ prior.mean
-    estimate = prior.mean + solve_a(design.conj().T @ residual)
-    covariance = _hermitize(sigma2 * solve_a(eye))
-    return EstimationResult(estimate, covariance)
-
-
-def _lmmse_observation_form(design, observations, sigma2, prior):
-    # Valid for any PSD prior covariance, including exactly singular ones.
-    n = design.shape[0]
-    gain = prior.covariance @ design.conj().T
-    innovation_cov = _hermitize(design @ gain + sigma2 * np.eye(n, dtype=complex))
-    s_chol = cholesky(innovation_cov, lower=True)
-
-    def solve_s(rhs):
-        tmp = solve_triangular(s_chol, rhs, lower=True)
-        return solve_triangular(s_chol, tmp, lower=True, trans="C")
-
-    estimate = prior.mean + gain @ solve_s(observations - design @ prior.mean)
-    covariance = _hermitize(prior.covariance - gain @ solve_s(gain.conj().T))
-    return EstimationResult(estimate, covariance)
+    post = _posterior(design, sigma2)
+    observations = _check_observations(design, observations)
+    estimate = post.root @ (post.q.conj().T @ observations)
+    return EstimationResult(estimate, post.covariance())
 
 
 def lmmse_estimate(
@@ -174,27 +194,19 @@ def lmmse_estimate(
 ) -> EstimationResult:
     """LMMSE estimate; regularized by the prior, so ``N < L`` is allowed.
 
-    Uses the coefficient-space form with the prior precision when the prior
-    covariance is invertible and switches to the algebraically equivalent
-    observation-space form when it is singular or nearly so.
+    The estimate is ``mean + T z`` with ``C = T T^H`` and ``z`` the least-squares
+    solution of ``[Phi T; sigma I] z = [r - Phi mean; 0]``.  It equals both
+    textbook forms (information and observation space) and needs no ``C^-1``;
+    prior directions at or below ``SINGULAR_PRIOR_THRESHOLD`` times the mean
+    prior eigenvalue are taken as known.
     """
-    _require_noise_variance(sigma2)
-    design = np.asarray(design, dtype=complex)
-    observations = np.asarray(observations, dtype=complex)
-    if design.ndim != 2 or design.shape[1] != prior.order:
-        raise DimensionMismatchError("design matrix width must match the prior order")
-    if observations.shape != (design.shape[0],):
-        raise DimensionMismatchError("observation length must match the number of pilots")
-    if design.shape[0] == 0:
+    post = _posterior(design, sigma2, prior)
+    observations = _check_observations(design, observations)
+    if observations.size == 0:
         return EstimationResult(prior.mean.copy(), prior.covariance.copy())
-    if _prior_is_near_singular(prior.covariance):
-        return _lmmse_observation_form(design, observations, sigma2, prior)
-    return _lmmse_information_form(design, observations, sigma2, prior)
-
-
-def _lmmse_error_covariance(design: np.ndarray, sigma2: float, prior: PriorStatistics) -> np.ndarray:
-    zero = np.zeros(design.shape[0], dtype=complex)
-    return lmmse_estimate(design, zero, sigma2, prior).error_covariance
+    residual = observations - np.asarray(design, dtype=complex) @ prior.mean
+    estimate = prior.mean + post.root @ (post.q.conj().T @ residual)
+    return EstimationResult(estimate, post.covariance())
 
 
 def prediction_covariance(
@@ -206,64 +218,13 @@ def prediction_covariance(
     """Error covariance of the reconstructed PA response at the prediction inputs.
 
     Returns ``sigma2 * Phi_t (Phi^H Phi)^-1 Phi_t^H`` without a prior and the
-    LMMSE counterpart with the prior precision added when one is given.
+    LMMSE counterpart when one is given.
     """
-    _require_noise_variance(sigma2)
-    design = np.asarray(design, dtype=complex)
+    post = _posterior(design, sigma2, prior)
     prediction_design = np.asarray(prediction_design, dtype=complex)
-    if prediction_design.ndim != 2 or prediction_design.shape[1] != design.shape[1]:
+    if prediction_design.ndim != 2 or prediction_design.shape[1] != post.root.shape[0]:
         raise DimensionMismatchError("prediction matrix width must match the design matrix")
-    if prior is None:
-        _, r = _full_rank_qr(design)
-        z = solve_triangular(r, prediction_design.conj().T, lower=False, trans="C")
-        return _hermitize(sigma2 * (z.conj().T @ z))
-    error_cov = _lmmse_error_covariance(design, sigma2, prior)
-    return _hermitize(prediction_design @ error_cov @ prediction_design.conj().T)
-
-
-def _mse_evaluator(design: np.ndarray, sigma2: float, prior: PriorStatistics | None):
-    """Callable mapping real amplitude grids to prediction MSE values.
-
-    The MSE depends on the prediction input only through its amplitude, so the
-    evaluator works on real nonnegative amplitudes and factorizes the design
-    once up front.
-    """
-    _require_noise_variance(sigma2)
-    design = np.asarray(design, dtype=complex)
-    order = design.shape[1]
-    if prior is None:
-        _, r = _full_rank_qr(design)
-
-        def evaluate(amplitudes):
-            basis = _amplitude_powers(amplitudes, order).astype(complex)
-            z = solve_triangular(r, basis.conj().T, lower=False, trans="C")
-            return sigma2 * np.sum(np.abs(z) ** 2, axis=0)
-
-        return evaluate
-
-    if design.shape[0] and not _prior_is_near_singular(prior.covariance):
-        prior_chol = cholesky(prior.covariance, lower=True)
-        eye = np.eye(order, dtype=complex)
-        precision = solve_triangular(prior_chol, eye, lower=True)
-        precision = precision.conj().T @ precision
-        a = _hermitize(design.conj().T @ design + sigma2 * precision)
-        a_chol = cholesky(a, lower=True)
-
-        def evaluate(amplitudes):
-            basis = _amplitude_powers(amplitudes, order).astype(complex)
-            z = solve_triangular(a_chol, basis.conj().T, lower=True)
-            return sigma2 * np.sum(np.abs(z) ** 2, axis=0)
-
-        return evaluate
-
-    error_cov = _lmmse_error_covariance(design, sigma2, prior)
-
-    def evaluate(amplitudes):
-        basis = _amplitude_powers(amplitudes, order).astype(complex)
-        values = np.einsum("ki,ij,kj->k", basis, error_cov, basis.conj()).real
-        return np.maximum(values, 0.0)
-
-    return evaluate
+    return post.covariance(prediction_design)
 
 
 def prediction_mse(
@@ -273,8 +234,7 @@ def prediction_mse(
     prior: PriorStatistics | None = None,
 ) -> float:
     """Prediction MSE at one input value; a function of ``abs(s_tilde)`` only."""
-    evaluate = _mse_evaluator(design, sigma2, prior)
-    return float(evaluate(np.array([abs(s_tilde)]))[0])
+    return float(_posterior(design, sigma2, prior).mse(abs(s_tilde))[0])
 
 
 def mse_curve(
@@ -284,8 +244,8 @@ def mse_curve(
     prior: PriorStatistics | None = None,
 ) -> MseCurve:
     """Prediction MSE sampled on an amplitude grid."""
-    evaluate = _mse_evaluator(design, sigma2, prior)
-    return MseCurve(np.asarray(amplitudes, dtype=float), evaluate(amplitudes))
+    post = _posterior(design, sigma2, prior)
+    return MseCurve(np.asarray(amplitudes, dtype=float), post.mse(amplitudes))
 
 
 def _golden_section_max(evaluate, lo: float, hi: float, tol: float) -> float:
@@ -325,7 +285,7 @@ def max_prediction_mse(
     """
     if not max_amplitude > 0:
         raise ValueError("max_amplitude must be positive")
-    evaluate = _mse_evaluator(design, sigma2, prior)
+    evaluate = _posterior(design, sigma2, prior).mse
     grid = np.linspace(0.0, max_amplitude, GRID_POINTS)
     values = evaluate(grid)
     peak = int(np.argmax(values))

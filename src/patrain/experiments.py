@@ -1,6 +1,7 @@
 """Deterministic experiment runners producing the CSV data behind the figures."""
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,7 @@ from .errors import CsvFormatError, DimensionMismatchError
 from .estimators import (
     EstimationResult,
     PriorStatistics,
+    _require_noise_variance,
     ls_estimate,
     lmmse_estimate,
     mse_curve,
@@ -80,13 +82,19 @@ def _figure_max_mse(design, sigma2, prior=None):
 
 
 def snr_db_to_sigma2(snr_db: float, convention: str, n_pilots: int, p_max: float = 1.0) -> float:
-    """Noise variance for an SNR point under the chosen convention."""
-    snr = 10.0 ** (snr_db / 10.0)
-    if convention == PER_SYMBOL:
-        return p_max / snr
-    if convention == TOTAL:
-        return p_max / (n_pilots * snr)
-    raise ValueError(f"unknown SNR convention: {convention!r}")
+    """Noise variance for an SNR point under the chosen convention.
+
+    A variance outside the float range raises :class:`InvalidNoiseError`.
+    """
+    if convention not in (PER_SYMBOL, TOTAL):
+        raise ValueError(f"unknown SNR convention: {convention!r}")
+    try:
+        snr = 10.0 ** (snr_db / 10.0) * (n_pilots if convention == TOTAL else 1)
+    except OverflowError:
+        snr = math.inf
+    sigma2 = p_max / snr if snr > 0 else math.inf
+    _require_noise_variance(sigma2)
+    return sigma2
 
 
 def run_fig1(order: int = 5, n_pilots: int = 5, sigma2: float = 1.0) -> CsvTable:
@@ -251,6 +259,10 @@ def _read_csv_columns(path, expected_header: tuple, label: str) -> np.ndarray:
         raise CsvFormatError(f"{label}: non-numeric cell") from exc
     if body.ndim != 2 or body.size == 0 or body.shape[1] != len(expected_header):
         raise CsvFormatError(f"{label}: malformed rows")
+    if not np.all(np.isfinite(body)):
+        raise CsvFormatError(f"{label}: non-finite cell")
+    if not np.array_equal(body[:, 0], np.arange(len(body))):
+        raise CsvFormatError(f"{label}: index column must read 0..{len(body) - 1} in order")
     return body
 
 

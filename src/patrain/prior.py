@@ -9,6 +9,7 @@ compensated (coherent) or averaged out (noncoherent).
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,15 +219,20 @@ def _read_rows(path, expected_width: int, label: str) -> list[list[float]]:
         if len(row) != expected_width:
             raise CsvFormatError(f"{label}: expected {expected_width} columns, got {len(row)}")
         try:
-            body.append([float(cell) for cell in row])
+            values = [float(cell) for cell in row]
         except ValueError as exc:
             raise CsvFormatError(f"{label}: non-numeric cell") from exc
+        if not all(math.isfinite(value) for value in values):
+            raise CsvFormatError(f"{label}: non-finite cell")
+        body.append(values)
     return body
 
 
 def load_prior(mean_path, cov_path) -> PriorStatistics:
     """Read a prior written by :func:`save_prior`."""
     mean_rows = _read_rows(mean_path, 3, "prior mean")
+    if [index for index, _, _ in mean_rows] != list(range(len(mean_rows))):
+        raise CsvFormatError(f"prior mean: index column must read 0..{len(mean_rows) - 1} in order")
     mean = np.array([complex(re, im) for _, re, im in mean_rows])
     order = mean.size
     cov_rows = _read_rows(cov_path, 2 * order, "prior covariance")

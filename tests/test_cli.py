@@ -42,7 +42,7 @@ def test_estimate_estimator_flag_must_match_prior(tmp_path):
     obs_path.write_text("index,re,im\n0,0.4,0\n1,0.9,0\n")
     proc = run_cli(
         "estimate", str(pilots_path), str(obs_path), "--order", "2", "--sigma2", "1",
-        "--estimator", "lmmse-coh",
+        "--estimator", "lmmse",
     )
     assert proc.returncode == 2
     ls = run_cli(
@@ -191,3 +191,67 @@ def test_oversized_fit_grid_is_usage_error(command, monkeypatch, capsys):
     monkeypatch.setattr(cli, "default_fit_grid", refuse)
     assert cli.main([command, "--fit-grid-step", "1e-9"]) == 2
     assert "fit grid" in capsys.readouterr().err
+
+
+def _write_estimate_inputs(tmp_path):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("pilots", "obs", "mean", "cov")}
+    paths["pilots"].write_text("index,amp,phase\n0,0.5,0\n1,1,0\n")
+    paths["obs"].write_text("index,re,im\n0,0.4,0\n1,0.9,0\n")
+    paths["mean"].write_text("index,re,im\n0,1,0\n1,0,0\n")
+    paths["cov"].write_text("re_0,im_0,re_1,im_1\n1,0,0,0\n0,0,1,0\n")
+    return paths
+
+
+def _estimate_with_prior(paths):
+    return cli.main([
+        "estimate", str(paths["pilots"]), str(paths["obs"]), "--order", "2", "--sigma2", "0.1",
+        "--prior-mean", str(paths["mean"]), "--prior-cov", str(paths["cov"]),
+    ])
+
+
+def test_estimate_with_valid_prior_succeeds(tmp_path, capsys):
+    assert _estimate_with_prior(_write_estimate_inputs(tmp_path)) == 0
+    assert capsys.readouterr().out.startswith("index,beta_re,beta_im")
+
+
+@pytest.mark.parametrize("target", ["pilots", "obs", "mean", "cov"])
+def test_estimate_rejects_nan_in_any_csv(tmp_path, capsys, target):
+    paths = _write_estimate_inputs(tmp_path)
+    lines = paths[target].read_text().splitlines()
+    lines[2] = lines[2][: lines[2].rindex(",") + 1] + "nan"
+    paths[target].write_text("\n".join(lines) + "\n")
+    assert _estimate_with_prior(paths) == 4
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["pilots", "obs", "mean"])
+def test_estimate_rejects_a_bad_index_column(tmp_path, capsys, target):
+    paths = _write_estimate_inputs(tmp_path)
+    lines = paths[target].read_text().splitlines()
+    lines[1] = "5" + lines[1][1:]
+    paths[target].write_text("\n".join(lines) + "\n")
+    assert _estimate_with_prior(paths) == 4
+    assert "index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cov_rows", ["1,0,0.5,0\n0,0,1,0\n", "1,0,2,0\n2,0,1,0\n"], ids=["non-hermitian", "indefinite"]
+)
+def test_estimate_invalid_prior_is_numerical_error(tmp_path, capsys, cov_rows):
+    paths = _write_estimate_inputs(tmp_path)
+    paths["cov"].write_text("re_0,im_0,re_1,im_1\n" + cov_rows)
+    assert _estimate_with_prior(paths) == 3
+    assert "covariance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snr_list", ["4000", "-4000"])
+def test_fig4_snr_outside_float_range_is_numerical_error(snr_list, capsys):
+    assert cli.main(["fig4", f"--snr-db-list={snr_list}", "--realizations", "5"]) == 3
+    assert "noise variance" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, patrain; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -14,6 +14,7 @@ from patrain import (
     exchange_search_verify,
     legendre_derivative_roots,
     legendre_eval,
+    ls_estimate,
     max_prediction_mse,
     optimal_design,
     optimal_support_points,
@@ -186,6 +187,21 @@ def test_d_criterion_optimal_beats_uniform():
 def test_d_criterion_rank_deficient_is_infinite():
     phi = build_design_matrix(PilotSequence([1.0, -1.0]), 2)
     assert d_criterion(phi, 1.0).log_det == np.inf
+
+
+@pytest.mark.parametrize("order", [16, 17])
+def test_d_criterion_is_infinite_exactly_when_ls_fails(order):
+    # The optimal L = 17 design has condition number 3.9e12, above the rank
+    # test's 1e12, while its R-diagonal ratio is only 5.9e9.  L = 16 (6.6e11)
+    # passes both.
+    phi = build_design_matrix(allocate_pilots(order, order), order)
+    try:
+        ls_estimate(phi, np.zeros(order), 1.0)
+        ls_fails = False
+    except RankDeficiencyError:
+        ls_fails = True
+    assert ls_fails == (order == 17)
+    assert (d_criterion(phi, 1.0).log_det == np.inf) == ls_fails
 
 
 # ------------------------------------------------------------ exchange search

@@ -5,7 +5,9 @@ from numpy.testing import assert_allclose
 from patrain import (
     DimensionMismatchError,
     InvalidNoiseError,
+    InvalidPriorError,
     NoiseModel,
+    NonFiniteInputError,
     PaPolynomial,
     PilotSequence,
     PriorStatistics,
@@ -21,7 +23,6 @@ from patrain import (
     prediction_mse,
     uniform_pilots,
 )
-from patrain.estimators import _lmmse_information_form, _lmmse_observation_form
 from patrain.prior import PriorConfig, RappDistribution, build_prior, default_fit_grid, fit_polynomial_to_curve
 
 
@@ -167,18 +168,38 @@ def test_lmmse_rejects_nonpositive_noise():
         lmmse_estimate(phi, np.array([1.0 + 0j]), 0.0, prior)
 
 
-def test_lmmse_observation_form_matches_information_form():
-    # Woodbury identity: both forms must agree when the prior is invertible.
+def _information_form(phi, r, sigma2, prior):
+    gram = phi.conj().T @ phi + sigma2 * np.linalg.inv(prior.covariance)
+    covariance = sigma2 * np.linalg.inv(gram)
+    return prior.mean + np.linalg.inv(gram) @ (phi.conj().T @ (r - phi @ prior.mean)), covariance
+
+
+def _observation_form(phi, r, sigma2, prior):
+    gain = prior.covariance @ phi.conj().T
+    innovation_inv = np.linalg.inv(phi @ gain + sigma2 * np.eye(len(phi)))
+    estimate = prior.mean + gain @ innovation_inv @ (r - phi @ prior.mean)
+    return estimate, prior.covariance - gain @ innovation_inv @ gain.conj().T
+
+
+def test_lmmse_matches_textbook_forms():
     rng = np.random.default_rng(31)
     order = 4
     pilots = _random_pilots(rng, order, order + 1)
     phi = build_design_matrix(pilots, order)
-    prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
     r = rng.normal(size=len(pilots)) + 1j * rng.normal(size=len(pilots))
-    info = _lmmse_information_form(phi, r, 0.4, prior)
-    obs = _lmmse_observation_form(phi, r, 0.4, prior)
-    assert_allclose(obs.estimate, info.estimate, rtol=1e-9, atol=1e-12)
-    assert_allclose(obs.error_covariance, info.error_covariance, rtol=1e-8, atol=1e-12)
+    # Full rank: both textbook forms apply (Woodbury identity).
+    prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
+    result = lmmse_estimate(phi, r, 0.4, prior)
+    for estimate, covariance in (_information_form(phi, r, 0.4, prior), _observation_form(phi, r, 0.4, prior)):
+        assert_allclose(result.estimate, estimate, rtol=1e-9, atol=1e-12)
+        assert_allclose(result.error_covariance, covariance, rtol=1e-8, atol=1e-12)
+    # Exactly singular (rank one): only the observation form exists.
+    direction = rng.normal(size=order) + 1j * rng.normal(size=order)
+    singular = PriorStatistics(rng.normal(size=order), np.outer(direction, direction.conj()))
+    result = lmmse_estimate(phi, r, 0.4, singular)
+    estimate, covariance = _observation_form(phi, r, 0.4, singular)
+    assert_allclose(result.estimate, estimate, rtol=1e-9, atol=1e-12)
+    assert_allclose(result.error_covariance, covariance, rtol=1e-8, atol=1e-12)
 
 
 def test_lmmse_handles_exactly_singular_prior():
@@ -360,3 +381,55 @@ def test_every_estimator_rejects_invalid_noise(sigma2):
     for call in calls:
         with pytest.raises(InvalidNoiseError):
             call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimators_reject_nonfinite_inputs(bad):
+    phi = build_design_matrix(allocate_pilots(3, 3), 3)
+    prior = PriorStatistics(np.zeros(3), np.eye(3, dtype=complex))
+    observations = np.ones(3, dtype=complex)
+    broken_phi = phi.copy()
+    broken_phi[1, 2] = bad
+    broken_observations = observations.copy()
+    broken_observations[0] = complex(0.0, bad)
+    calls = [
+        lambda: ls_estimate(broken_phi, observations, 1.0),
+        lambda: ls_estimate(phi, broken_observations, 1.0),
+        lambda: lmmse_estimate(broken_phi, observations, 1.0, prior),
+        lambda: lmmse_estimate(phi, broken_observations, 1.0, prior),
+    ]
+    for call in calls:
+        with pytest.raises(NonFiniteInputError):
+            call()
+
+
+def test_prior_statistics_tolerances_are_relative():
+    # A 1e-14-scale covariance with a 5e-13 asymmetric entry is far from
+    # Hermitian relative to its own size.
+    cov = 1e-14 * np.eye(2, dtype=complex)
+    cov[0, 1] = 5e-13
+    with pytest.raises(InvalidPriorError):
+        PriorStatistics(np.zeros(2), cov)
+    # A large covariance with rounding-level asymmetry and negativity passes.
+    cov = 1e6 * np.array([[2.0, 1.0], [1.0, 0.5]], dtype=complex)
+    cov[0, 1] += 1e-7
+    PriorStatistics(np.zeros(2), cov)
+    with pytest.raises(InvalidPriorError):
+        PriorStatistics(np.zeros(2), np.diag([1e-6, -1e-15]).astype(complex))
+
+
+@pytest.mark.parametrize(
+    "mean, cov",
+    [
+        ([np.nan, 0.0], np.eye(2)),
+        ([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]]),
+        ([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]]),
+        ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]),
+    ],
+    ids=["nan-mean", "inf-cov", "non-hermitian", "indefinite"],
+)
+def test_prior_statistics_rejects_invalid_prior(mean, cov):
+    with pytest.raises(InvalidPriorError):
+        PriorStatistics(np.asarray(mean), np.asarray(cov, dtype=complex))
+    # Existing callers that catch ValueError keep working.
+    assert issubclass(InvalidPriorError, ValueError)

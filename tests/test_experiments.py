@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from patrain import (
+    CsvFormatError,
     DimensionMismatchError,
+    InvalidNoiseError,
     PilotSequence,
     build_design_matrix,
 )
@@ -158,3 +160,34 @@ def test_observation_csv_reader(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("index,re,im\n0,1.5,-0.5\n1,0,2\n")
     assert np.array_equal(read_observation_csv(path), np.array([1.5 - 0.5j, 2j]))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_readers_reject_nonfinite_cells(tmp_path, cell):
+    pilot_path = tmp_path / "pilots.csv"
+    pilot_path.write_text(f"index,amp,phase\n0,0.5,{cell}\n1,1,0\n")
+    with pytest.raises(CsvFormatError, match="non-finite"):
+        read_pilot_csv(pilot_path)
+    obs_path = tmp_path / "obs.csv"
+    obs_path.write_text(f"index,re,im\n0,0.4,0\n1,{cell},0\n")
+    with pytest.raises(CsvFormatError, match="non-finite"):
+        read_observation_csv(obs_path)
+
+
+@pytest.mark.parametrize("indices", [(5, 9, 7), (1, 2, 3), (0, 2, 1), (0, 0.5, 2)])
+def test_csv_readers_check_the_index_column(tmp_path, indices):
+    pilot_path = tmp_path / "pilots.csv"
+    obs_path = tmp_path / "obs.csv"
+    pilot_path.write_text("index,amp,phase\n" + "".join(f"{i},0.5,0\n" for i in indices))
+    obs_path.write_text("index,re,im\n" + "".join(f"{i},0.4,0\n" for i in indices))
+    with pytest.raises(CsvFormatError, match="index"):
+        read_pilot_csv(pilot_path)
+    with pytest.raises(CsvFormatError, match="index"):
+        read_observation_csv(obs_path)
+
+
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+@pytest.mark.parametrize("convention", ["per-symbol", "total"])
+def test_snr_outside_float_range_is_invalid_noise(snr_db, convention):
+    with pytest.raises(InvalidNoiseError):
+        snr_db_to_sigma2(snr_db, convention, 7)

@@ -5,7 +5,9 @@ from numpy.testing import assert_allclose
 from patrain import experiments
 from patrain import prior as prior_module
 from patrain import (
+    CsvFormatError,
     PriorConfig,
+    PriorStatistics,
     RankDeficiencyError,
     RappDistribution,
     RappParameters,
@@ -133,6 +135,30 @@ def test_prior_csv_round_trip(tmp_path):
     restored = load_prior(mean_path, cov_path)
     assert np.array_equal(restored.mean, prior.mean)
     assert np.array_equal(restored.covariance, prior.covariance)
+
+
+@pytest.mark.parametrize("target", ["mean", "cov"])
+def test_prior_csv_rejects_nonfinite_cells(tmp_path, target):
+    mean_path = tmp_path / "prior_mean.csv"
+    cov_path = tmp_path / "prior_cov.csv"
+    save_prior(PriorStatistics(np.zeros(2), np.eye(2, dtype=complex)), mean_path, cov_path)
+    path = mean_path if target == "mean" else cov_path
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[-1] = "nan"
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvFormatError, match="non-finite"):
+        load_prior(mean_path, cov_path)
+
+
+def test_prior_mean_csv_checks_the_index_column(tmp_path):
+    mean_path = tmp_path / "prior_mean.csv"
+    cov_path = tmp_path / "prior_cov.csv"
+    save_prior(PriorStatistics(np.zeros(2), np.eye(2, dtype=complex)), mean_path, cov_path)
+    mean_path.write_text("index,re,im\n1,0,0\n0,0,0\n")
+    with pytest.raises(CsvFormatError, match="index"):
+        load_prior(mean_path, cov_path)
 
 
 def test_prior_config_validates_grid():
