@@ -7,7 +7,6 @@ from .design import (
     d_criterion,
     exchange_search_verify,
     legendre_derivative_roots,
-    legendre_eval,
     optimal_design,
     optimal_support_points,
     uniform_pilots,

@@ -177,7 +177,7 @@ def _cmd_fig4(args) -> int:
 
 def _cmd_design(args) -> int:
     _check(args.order >= 1 and args.pilots >= 1, "order and pilots must be positive")
-    _check(args.max_amplitude > 0, "max amplitude must be positive")
+    _check(0 < args.max_amplitude < math.inf, "max amplitude must be positive and finite")
     table = experiments.design_table(
         args.order, args.pilots, args.max_amplitude, args.allocation
     )

@@ -11,16 +11,12 @@ D-optimum the largest prediction MSE over [0, 1] is ``sigma2 L / N``.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, PilotAllocationError, RankDeficiencyError
 from .estimators import _posterior
 from .pa_model import PilotSequence, build_design_matrix
-
-ROOT_BISECTION_TOL = 1e-8
-ROOT_NEWTON_TOL = 1e-13
 
 # Exchange search: a sweep that moves no pilot ends it.  A move must raise the
 # determinant by more than EXCHANGE_MIN_GAIN relative, so that rounding noise
@@ -45,105 +41,23 @@ class DesignCriterionValue:
     log_det: float
 
 
-def legendre_eval(order: int, x: float) -> tuple[float, float]:
-    """Legendre polynomial value and derivative at ``x``.
-
-    Values come from the three-term recurrence
-    ``(n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}`` and the derivative from
-    ``(x^2 - 1) P'_L = L (x P_L - P_{L-1})``, with the closed form
-    ``P'_L(+-1) = (+-1)^(L+1) L (L+1) / 2`` at the endpoints.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    x = float(x)
-    if order == 0:
-        return 1.0, 0.0
-    p_prev, p = 1.0, x
-    for n in range(1, order):
-        p_prev, p = p, ((2.0 * n + 1.0) * x * p - n * p_prev) / (n + 1.0)
-    if x == 1.0 or x == -1.0:
-        dp = x ** (order + 1) * order * (order + 1) / 2.0
-    else:
-        dp = order * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
-def _bisect_newton(f, lo: float, hi: float) -> float:
-    """Root of f in (lo, hi): bisection on the bracket, then Newton polish.
-
-    ``f`` returns a (value, derivative) pair and must change sign on the bracket.
-    """
-    f_lo = f(lo)[0]
-    while hi - lo > ROOT_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)[0]
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    x = 0.5 * (lo + hi)
-    for _ in range(50):
-        value, derivative = f(x)
-        if derivative == 0.0:
-            break
-        step = value / derivative
-        x_next = min(max(x - step, lo), hi)
-        if abs(x_next - x) <= ROOT_NEWTON_TOL:
-            return x_next
-        x = x_next
-    return x
-
-
-@lru_cache(maxsize=None)
-def _legendre_roots(order: int) -> tuple[float, ...]:
-    """All roots of the degree-``order`` Legendre polynomial, sorted.
-
-    Built level by level: the roots of each degree interlace with those of the
-    previous degree, which provides guaranteed sign-change brackets.  Only the
-    positive roots are solved; the rest follow by symmetry.
-    """
-    if order == 0:
-        return ()
-    if order == 1:
-        return (0.0,)
-    brackets = (-1.0,) + _legendre_roots(order - 1) + (1.0,)
-    positive = []
-    for lo, hi in zip(brackets, brackets[1:]):
-        if lo + hi > 1e-9:
-            positive.append(_bisect_newton(lambda t: legendre_eval(order, t), lo, hi))
-    mirrored = [-root for root in reversed(positive)]
-    middle = [0.0] if order % 2 else []
-    return tuple(mirrored + middle + positive)
-
-
-def _derivative_pair(order: int, x: float) -> tuple[float, float]:
-    # Second derivative from the Legendre differential equation; |x| < 1 here.
-    p, dp = legendre_eval(order, x)
-    ddp = (2.0 * x * dp - order * (order + 1.0) * p) / (1.0 - x * x)
-    return dp, ddp
-
-
-@lru_cache(maxsize=None)
-def _derivative_roots(order: int) -> tuple[float, ...]:
-    if order <= 1:
-        return ()
-    brackets = _legendre_roots(order)
-    positive = []
-    for lo, hi in zip(brackets, brackets[1:]):
-        if lo + hi > 1e-9:
-            positive.append(_bisect_newton(lambda t: _derivative_pair(order, t), lo, hi))
-    mirrored = [-root for root in reversed(positive)]
-    middle = [0.0] if order % 2 == 0 else []
-    return tuple(mirrored + middle + positive)
-
-
 def legendre_derivative_roots(order: int) -> np.ndarray:
-    """The ``L - 1`` roots of the derivative of the degree-``L`` Legendre polynomial."""
+    """The ``L - 1`` roots of the derivative of the degree-``L`` Legendre polynomial.
+
+    ``P'_L`` is proportional to the Jacobi polynomial ``P^(1,1)_{L-1}``, whose
+    roots are the eigenvalues of its symmetric tridiagonal Jacobi matrix: zero
+    diagonal and off-diagonals ``sqrt(k (k+2) / ((2k+1) (2k+3)))`` for
+    ``k = 1..L-2`` (Golub & Welsch, 1969).  Averaging each root with its
+    mirror makes the pairs exactly symmetric and the middle root exactly 0.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return np.array(_derivative_roots(order), dtype=float)
+    k = np.arange(1, order - 1)
+    off_diagonal = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    jacobi = np.zeros((order - 1, order - 1))
+    jacobi[k, k - 1] = jacobi[k - 1, k] = off_diagonal
+    roots = np.linalg.eigvalsh(jacobi)
+    return 0.5 * (roots - roots[::-1])
 
 
 def optimal_support_points(order: int) -> np.ndarray:

@@ -53,8 +53,8 @@ class PilotSequence:
         symbols = np.atleast_1d(np.asarray(self.symbols, dtype=complex))
         if symbols.ndim != 1:
             raise ValueError("symbols must be a vector")
-        if not self.max_amplitude > 0:
-            raise ValueError("max_amplitude must be positive")
+        if not 0 < self.max_amplitude < np.inf:
+            raise ValueError("max_amplitude must be positive and finite")
         if symbols.size and np.abs(symbols).max() > self.max_amplitude + AMPLITUDE_TOLERANCE:
             raise ValueError("pilot amplitude exceeds max_amplitude")
         object.__setattr__(self, "symbols", symbols)

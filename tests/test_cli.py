@@ -165,6 +165,13 @@ def test_design_rejects_nonpositive_order():
     assert cli.main(["design", "--order", "0"]) == 2
 
 
+@pytest.mark.parametrize("allocation", ["optimal", "uniform"])
+@pytest.mark.parametrize("cap", ["0", "-1", "inf", "1e309", "nan"])
+def test_design_rejects_a_nonfinite_or_nonpositive_cap(allocation, cap, capsys):
+    assert cli.main(["design", f"--max-amplitude={cap}", "--allocation", allocation]) == 2
+    assert "max amplitude" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("snr_list", ["nan", "0,inf", "0,-inf"])
 def test_fig4_rejects_nonfinite_snr(snr_list):
     with pytest.raises(SystemExit) as exit_info:

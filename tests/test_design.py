@@ -13,7 +13,6 @@ from patrain import (
     d_criterion,
     exchange_search_verify,
     legendre_derivative_roots,
-    legendre_eval,
     ls_estimate,
     max_prediction_mse,
     optimal_design,
@@ -27,34 +26,6 @@ from patrain import design
 # ------------------------------------------------------------------- Legendre
 
 
-def test_legendre_eval_reference_points():
-    p, dp = legendre_eval(2, 0.0)
-    assert p == pytest.approx(-0.5) and dp == 0.0
-    p, dp = legendre_eval(3, 1.0)
-    assert p == pytest.approx(1.0) and dp == pytest.approx(6.0)
-    p, _ = legendre_eval(5, 0.5)
-    assert p == pytest.approx(0.0898438, abs=1e-7)
-
-
-def test_legendre_eval_against_numpy_series():
-    rng = np.random.default_rng(2)
-    for order in range(0, 11):
-        series = np.zeros(order + 1)
-        series[order] = 1.0
-        for x in rng.uniform(-1, 1, 5):
-            p, dp = legendre_eval(order, x)
-            assert p == pytest.approx(npleg.legval(x, series), rel=1e-12, abs=1e-14)
-            assert dp == pytest.approx(npleg.legval(x, npleg.legder(series)), rel=1e-10, abs=1e-12)
-
-
-def test_legendre_eval_endpoint_derivative():
-    for order in range(1, 11):
-        _, dp_pos = legendre_eval(order, 1.0)
-        _, dp_neg = legendre_eval(order, -1.0)
-        assert dp_pos == pytest.approx(order * (order + 1) / 2.0)
-        assert dp_neg == pytest.approx((-1.0) ** (order + 1) * order * (order + 1) / 2.0)
-
-
 def test_derivative_roots_low_orders():
     assert np.array_equal(legendre_derivative_roots(1), np.zeros(0))
     assert np.array_equal(legendre_derivative_roots(2), np.array([0.0]))
@@ -64,21 +35,28 @@ def test_derivative_roots_low_orders():
     )
 
 
+def _derivative_series(order):
+    """Legendre-series coefficients of ``P'_order``."""
+    series = np.zeros(order + 1)
+    series[order] = 1.0
+    return npleg.legder(series)
+
+
 def test_derivative_roots_match_numpy_oracle():
-    for order in range(2, 11):
-        series = np.zeros(order + 1)
-        series[order] = 1.0
-        oracle = np.sort(npleg.legroots(npleg.legder(series)).real)
+    for order in range(2, 61):
+        oracle = np.sort(npleg.legroots(_derivative_series(order)).real)
         assert_allclose(legendre_derivative_roots(order), oracle, atol=1e-11)
 
 
 def test_derivative_roots_symmetric_and_counted():
-    for order in range(1, 11):
+    for order in range(1, 61):
         roots = legendre_derivative_roots(order)
         assert roots.size == order - 1
+        assert np.all(np.diff(roots) > 0)
         assert np.array_equal(roots, -roots[::-1])  # exact mirror pairing
-        residuals = [abs(legendre_eval(order, x)[1]) for x in roots]
-        assert max(residuals, default=0.0) <= 1e-12
+        if order <= 10:  # the P' residual grows with the order, to 3e-11 at 60
+            residuals = np.abs(npleg.legval(roots, _derivative_series(order)))
+            assert max(residuals, default=0.0) <= 1e-12
 
 
 # ------------------------------------------------------------- support points
@@ -114,7 +92,7 @@ def test_support_points_structure_all_orders():
         assert np.unique(points).size == order
         assert np.all(np.diff(points) > 0)
         for t in points[:-1]:
-            assert abs(legendre_eval(order, 2.0 * t - 1.0)[1]) <= 1e-10
+            assert abs(npleg.legval(2.0 * t - 1.0, _derivative_series(order))) <= 1e-10
 
 
 # ----------------------------------------------------------------- allocation

@@ -172,6 +172,9 @@ def test_pilot_sequence_enforces_amplitude_cap():
     PilotSequence([0.5, 1.0], max_amplitude=1.0)
     with pytest.raises(ValueError):
         PilotSequence([0.5, 1.1], max_amplitude=1.0)
+    for cap in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="max_amplitude"):
+            PilotSequence([0.5, 1.0], max_amplitude=cap)
 
 
 def test_pa_polynomial_rejects_empty():
