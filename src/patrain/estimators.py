@@ -243,33 +243,14 @@ def mse_curve(
     sigma2: float,
     prior: PriorStatistics | None = None,
 ) -> MseCurve:
-    """Prediction MSE sampled on an amplitude grid."""
+    """Prediction MSE sampled on a grid of finite nonnegative amplitudes."""
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    if not np.isfinite(amplitudes).all():
+        raise NonFiniteInputError("amplitudes hold NaN or infinite entries")
+    if (amplitudes < 0).any():
+        raise ValueError("amplitudes must be nonnegative")
     post = _posterior(design, sigma2, prior)
-    return MseCurve(np.asarray(amplitudes, dtype=float), post.mse(amplitudes))
-
-
-def _golden_section_max(evaluate, lo: float, hi: float, tol: float) -> float:
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1 = evaluate(np.array([x1]))[0]
-    f2 = evaluate(np.array([x2]))[0]
-    best = max(f1, f2)
-    while hi - lo > tol:
-        if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = evaluate(np.array([x1]))[0]
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = evaluate(np.array([x2]))[0]
-        best = max(best, f1, f2)
-    return best
-
-
-GRID_POINTS = 2001
-REFINE_TOLERANCE = 1e-10
+    return MseCurve(amplitudes, post.mse(amplitudes))
 
 
 def max_prediction_mse(
@@ -280,19 +261,20 @@ def max_prediction_mse(
 ) -> float:
     """Maximal prediction MSE over the amplitude range ``[0, max_amplitude]``.
 
-    Dense grid search followed by golden-section refinement around the best
-    grid point down to ``REFINE_TOLERANCE`` amplitude resolution.
+    The MSE is a real polynomial of degree ``2L`` in the amplitude, so its
+    ``2L + 1``-point Chebyshev interpolant on the range is exact.  The maximum
+    is taken over both endpoints and the real parts of the roots of the
+    interpolant's derivative, the eigenvalues of its colleague matrix (Boyd,
+    2002), clipped to the range; every candidate is evaluated by the MSE itself.
     """
-    if not max_amplitude > 0:
-        raise ValueError("max_amplitude must be positive")
-    evaluate = _posterior(design, sigma2, prior).mse
-    grid = np.linspace(0.0, max_amplitude, GRID_POINTS)
-    values = evaluate(grid)
-    peak = int(np.argmax(values))
-    lo = grid[max(peak - 1, 0)]
-    hi = grid[min(peak + 1, GRID_POINTS - 1)]
-    refined = _golden_section_max(evaluate, lo, hi, REFINE_TOLERANCE)
-    return float(max(values[peak], refined))
+    if not 0 < max_amplitude < math.inf:
+        raise ValueError("max_amplitude must be positive and finite")
+    post = _posterior(design, sigma2, prior)
+    cheb = np.polynomial.chebyshev
+    half = 0.5 * max_amplitude
+    coef = cheb.chebinterpolate(lambda x: post.mse(half * (x + 1.0)), 2 * post.root.shape[0])
+    critical = np.clip(cheb.chebroots(cheb.chebder(coef)).real, -1.0, 1.0)
+    return float(post.mse(half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0)).max())
 
 
 def generate_noisy_observations(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from patrain import (
@@ -317,6 +319,117 @@ def test_mse_curve_matches_pointwise_evaluations():
     curve = mse_curve(phi, amplitudes, 0.9)
     for amp, value in zip(curve.amplitudes, curve.mse_values):
         assert value == pytest.approx(prediction_mse(phi, amp, 0.9), rel=1e-12, abs=1e-15)
+
+
+def test_mse_curve_rejects_negative_amplitudes():
+    phi = build_design_matrix(uniform_pilots(6), 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        mse_curve(phi, [-0.5, 0.5], 1.0)
+    # prediction_mse reads the magnitude of a signed or complex input.
+    expected = mse_curve(phi, [0.5], 1.0).mse_values[0]
+    for s_tilde in (-0.5, 0.5j, -0.5j, 0.3 + 0.4j):
+        assert prediction_mse(phi, s_tilde, 1.0) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mse_curve_rejects_nonfinite_amplitudes(bad):
+    phi = build_design_matrix(uniform_pilots(6), 4)
+    with pytest.raises(NonFiniteInputError):
+        mse_curve(phi, [0.25, bad, 0.75], 1.0)
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, np.nan, np.inf])
+def test_max_prediction_mse_rejects_invalid_amplitude_cap(cap):
+    phi = build_design_matrix(allocate_pilots(3, 3), 3)
+    with pytest.raises(ValueError, match="max_amplitude"):
+        max_prediction_mse(phi, 1.0, max_amplitude=cap)
+
+
+def _grid_maxima(phi, sigma2, prior=None, max_amplitude=1.0, points=100_001):
+    """Maximum of the MSE on a dense grid, and that maximum refined by a second
+    grid of as many points across the two cells around the grid's best point.
+
+    A 1e-5-spaced grid misses a sharp interior peak by up to ``f'' h^2 / 8``,
+    1.5e-8 relative for uniform pilots at L = 9, N = 18; the refined maximum
+    is the upper reference.
+    """
+    grid = np.linspace(0.0, max_amplitude, points)
+    values = mse_curve(phi, grid, sigma2, prior).mse_values
+    best = int(np.argmax(values))
+    zoom = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, points - 1)], points)
+    refined = max(values[best], mse_curve(phi, zoom, sigma2, prior).mse_values.max())
+    return values[best], refined
+
+
+@pytest.mark.parametrize("allocation", ["optimal", "uniform"])
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("order", range(2, 13))
+def test_max_prediction_mse_matches_dense_grid(order, factor, allocation):
+    n_pilots = factor * order
+    pilots = allocate_pilots(order, n_pilots) if allocation == "optimal" else uniform_pilots(n_pilots)
+    phi = build_design_matrix(pilots, order)
+    value = max_prediction_mse(phi, 1.0)
+    grid_max, refined_max = _grid_maxima(phi, 1.0)
+    # From L = 10 on, monomial round-off in the MSE itself reaches 1e-8.
+    below, above = (1e-12, 1e-8) if order <= 9 else (1e-8, 1e-8)
+    assert value >= grid_max * (1 - below)
+    assert value <= refined_max * (1 + above)
+
+
+@pytest.mark.parametrize(
+    "eigenvalues",
+    [[1, 1, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1e-30], np.logspace(-3, -20, 4), [0, 0, 0, 0]],
+    ids=["rank-3", "rank-1", "tiny", "spread", "zero"],
+)
+@pytest.mark.parametrize("sigma2", [1.0, 0.01])
+def test_max_prediction_mse_matches_dense_grid_for_degenerate_priors(eigenvalues, sigma2):
+    phi = build_design_matrix(allocate_pilots(4, 4), 4)
+    prior = PriorStatistics(np.zeros(4), np.diag(eigenvalues).astype(complex))
+    value = max_prediction_mse(phi, sigma2, prior)
+    grid_max, refined_max = _grid_maxima(phi, sigma2, prior)
+    assert grid_max * (1 - 1e-12) <= value <= refined_max * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("allocation", ["optimal", "uniform"])
+def test_max_prediction_mse_matches_dense_grid_on_a_wider_range(allocation):
+    order, n_pilots, cap = 5, 10, 2.5
+    if allocation == "optimal":
+        pilots = allocate_pilots(order, n_pilots, max_amplitude=cap)
+    else:
+        pilots = uniform_pilots(n_pilots, max_amplitude=cap)
+    phi = build_design_matrix(pilots, order)
+    value = max_prediction_mse(phi, 0.1, max_amplitude=cap)
+    grid_max, refined_max = _grid_maxima(phi, 0.1, max_amplitude=cap)
+    assert grid_max * (1 - 1e-12) <= value <= refined_max * (1 + 1e-8)
+
+
+@st.composite
+def _mse_problems(draw):
+    order = draw(st.integers(2, 8))
+    # Amplitudes on a 1e-3 lattice in [0.05, 1], so distinct ones are at least 1e-3 apart.
+    steps = draw(st.lists(st.integers(0, 950), min_size=order, max_size=2 * order, unique=True))
+    amplitudes = 0.05 + 1e-3 * np.sort(steps)
+    sigma2 = 10.0 ** draw(st.floats(-6.0, 0.0))
+    prior_seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    prior = None
+    if prior_seed is not None:
+        rng = np.random.default_rng(prior_seed)
+        prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
+    return build_design_matrix(PilotSequence(amplitudes.astype(complex)), order), amplitudes, sigma2, prior
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_mse_problems())
+def test_max_prediction_mse_bounds_every_sampled_value(problem):
+    phi, amplitudes, sigma2, prior = problem
+    try:
+        value = max_prediction_mse(phi, sigma2, prior)
+    except RankDeficiencyError:
+        reject()
+    at_pilots = mse_curve(phi, amplitudes, sigma2, prior).mse_values
+    on_grid = mse_curve(phi, np.linspace(0.0, 1.0, 2001), sigma2, prior).mse_values
+    assert value >= at_pilots.max() * (1 - 1e-12)
+    assert value >= on_grid.max() * (1 - 1e-12)
 
 
 def test_psd_ordering_ls_versus_lmmse():
