@@ -16,6 +16,7 @@ from .errors import (
     CsvFormatError,
     DimensionMismatchError,
     IllConditionedBasisError,
+    InvalidInputError,
     InvalidNoiseError,
     InvalidPriorError,
     NonFiniteInputError,

@@ -13,6 +13,7 @@ from .errors import (
     CsvFormatError,
     DimensionMismatchError,
     IllConditionedBasisError,
+    InvalidInputError,
     InvalidNoiseError,
     InvalidPriorError,
     NonFiniteInputError,
@@ -24,6 +25,11 @@ from .prior import MAX_FIT_GRID_POINTS, default_fit_grid, load_prior
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+# Largest --order any subcommand accepts.  The support points take the
+# eigenvalues of a dense (L - 1) x (L - 1) Jacobi matrix, 8 (L - 1)^2 bytes and
+# O(L^3) time, so an unbounded order could exhaust memory.
+MAX_ORDER = 1000
 
 
 def _parse_snr_list(text: str):
@@ -134,6 +140,10 @@ def _check(condition: bool, message: str) -> None:
         raise _UsageError(message)
 
 
+def _check_order(order: int) -> None:
+    _check(1 <= order <= MAX_ORDER, f"order must be between 1 and {MAX_ORDER}, got {order}")
+
+
 def _emit(table: experiments.CsvTable, out_path) -> int:
     if out_path is None:
         sys.stdout.write(table.to_csv())
@@ -143,24 +153,27 @@ def _emit(table: experiments.CsvTable, out_path) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    _check(args.order >= 1 and args.pilots >= 1, "order and pilots must be positive")
+    _check_order(args.order)
+    _check(args.pilots >= 1, "pilots must be positive")
     _check(args.sigma2 > 0, "sigma2 must be positive")
     return _emit(experiments.run_fig1(args.order, args.pilots, args.sigma2), args.out)
 
 
 def _cmd_fig2(args) -> int:
-    _check(args.order >= 1, "order must be positive")
+    _check_order(args.order)
     return _emit(experiments.run_fig2(args.order), args.out)
 
 
 def _cmd_fig3(args) -> int:
-    _check(args.order >= 1 and args.realizations >= 1, "order and realizations must be positive")
+    _check_order(args.order)
+    _check(args.realizations >= 1, "realizations must be positive")
     table = experiments.run_fig3(args.realizations, args.order, args.seed, _fit_grid(args))
     return _emit(table, args.out)
 
 
 def _cmd_fig4(args) -> int:
-    _check(args.order >= 1 and args.pilots >= 1, "order and pilots must be positive")
+    _check_order(args.order)
+    _check(args.pilots >= 1, "pilots must be positive")
     _check(args.realizations >= 1, "realizations must be positive")
     _check(len(args.snr_db_list) >= 1, "need at least one SNR point")
     table = experiments.run_fig4(
@@ -176,7 +189,8 @@ def _cmd_fig4(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    _check(args.order >= 1 and args.pilots >= 1, "order and pilots must be positive")
+    _check_order(args.order)
+    _check(args.pilots >= 1, "pilots must be positive")
     _check(0 < args.max_amplitude < math.inf, "max amplitude must be positive and finite")
     table = experiments.design_table(
         args.order, args.pilots, args.max_amplitude, args.allocation
@@ -185,7 +199,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    _check(args.order >= 1, "order must be positive")
+    _check_order(args.order)
     _check(args.sigma2 > 0, "sigma2 must be positive")
     _check(
         (args.prior_mean is None) == (args.prior_cov is None),
@@ -209,7 +223,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, PilotAllocationError, DimensionMismatchError) as exc:
+    except (_UsageError, PilotAllocationError, DimensionMismatchError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

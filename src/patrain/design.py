@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PilotAllocationError, RankDeficiencyError
-from .estimators import _posterior
+from .estimators import _factor
 from .pa_model import PilotSequence, build_design_matrix
 
 # Exchange search: a sweep that moves no pilot ends it.  A move must raise the
@@ -116,15 +116,15 @@ def uniform_pilots(n_pilots: int, max_amplitude: float = 1.0) -> PilotSequence:
 def d_criterion(design: np.ndarray, sigma2: float) -> DesignCriterionValue:
     """Log-determinant of the LS error covariance, ``L log sigma2 - log det(Phi^H Phi)``.
 
-    Read from the triangular factor of the LS estimator.  A design that fails
-    its rank test, so that :func:`ls_estimate` raises, yields an infinite value.
+    Read from the singular values ``s`` of the LS factor as
+    ``L log sigma2 - 2 sum log s``.  A design that fails its rank test, so that
+    :func:`ls_estimate` raises, yields an infinite value.
     """
     try:
-        r = _posterior(design, sigma2).r
+        s = _factor(design).singular_values(sigma2)
     except RankDeficiencyError:
         return DesignCriterionValue(np.inf)
-    log_det = r.shape[0] * np.log(sigma2) - 2.0 * np.sum(np.log(np.abs(np.diag(r))))
-    return DesignCriterionValue(float(log_det))
+    return DesignCriterionValue(float(s.size * np.log(sigma2) - 2.0 * np.sum(np.log(s))))
 
 
 def exchange_search_verify(

@@ -39,3 +39,7 @@ class InvalidPriorError(PatrainError, ValueError):
 
 class NonFiniteInputError(PatrainError, ValueError):
     """An input array holds NaN or infinite entries."""
+
+
+class InvalidInputError(PatrainError, ValueError):
+    """An input lies outside the domain of the function it was passed to."""

@@ -1,19 +1,22 @@
 """Complex LS and LMMSE coefficient estimation with analytic error covariances.
 
-Both estimators are one regularized least-squares problem, factored by one QR
-in :func:`_posterior`: of the design ``Phi`` for LS, and of ``[Phi T; sigma I]``
-for LMMSE with the prior whitened as ``C = T T^H``, which covers singular
-priors and never forms ``C^-1``.  Estimates, covariances, prediction MSE and
-the D-criterion all read its factor ``R`` and error-covariance root.
+Both estimators are one regularized least-squares problem, factored by one SVD
+in :func:`_factor`: ``Phi T = U diag(s) V^H``, with ``T = I`` for LS and the
+prior root ``C = T T^H`` for LMMSE, which covers singular priors and never
+forms ``C^-1``.  The factor holds no noise variance: for each ``sigma2`` the
+factored system has the singular values ``sqrt(s^2 + rho sigma2)`` (``rho`` 0
+for LS, 1 for LMMSE), so estimates, covariances, prediction MSE and the
+D-criterion all follow in closed form, and one factor serves a whole SNR sweep.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidInputError,
     InvalidNoiseError,
     InvalidPriorError,
     NonFiniteInputError,
@@ -25,11 +28,19 @@ from .pa_model import CONDITION_LIMIT, PaPolynomial, PilotSequence, eval_polynom
 # prior eigenvalue are treated as known exactly and dropped from the whitening.
 SINGULAR_PRIOR_THRESHOLD = 1e-12
 
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 
 def _require_noise_variance(sigma2: float) -> None:
-    """Reject a noise variance that is not finite and strictly positive."""
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise InvalidNoiseError(f"noise variance must be finite and strictly positive, got {sigma2!r}")
+    """Reject a noise variance that is not finite or below the smallest normal float.
+
+    A subnormal variance keeps only a few significant digits, and so would
+    every MSE scaled by it.
+    """
+    if not (math.isfinite(sigma2) and sigma2 >= _SMALLEST_NORMAL):
+        raise InvalidNoiseError(
+            f"noise variance must be finite and at least {_SMALLEST_NORMAL:.3g}, got {sigma2!r}"
+        )
 
 
 def _require_finite(values: np.ndarray, label: str) -> np.ndarray:
@@ -57,10 +68,16 @@ class PriorStatistics:
     The covariance must be Hermitian within 1e-12 of its largest entry and PSD
     within 1e-10 of the largest entry of the second moment ``C + m m^H``; a
     prior that fails, or is not finite, raises :class:`InvalidPriorError`.
+
+    The root ``T`` with ``C = T T^H`` that the LMMSE factor whitens with is
+    taken from the same eigendecomposition: the eigenvectors scaled by the
+    square roots of the eigenvalues above ``SINGULAR_PRIOR_THRESHOLD`` times
+    their mean.  The other directions are treated as known exactly.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
+    _whiten: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=complex))
@@ -74,10 +91,13 @@ class PriorStatistics:
         # A covariance computed as E[b b^H] - m m^H carries round-off on the
         # scale of the second moment, so that is what the PSD test compares to.
         second_moment = np.abs(cov + np.outer(mean, mean.conj())).max(initial=0.0)
-        if mean.size and np.linalg.eigvalsh(cov).min() < -1e-10 * second_moment:
+        eigenvalues, eigenvectors = np.linalg.eigh(cov)
+        if mean.size and eigenvalues.min() < -1e-10 * second_moment:
             raise InvalidPriorError("covariance must be positive semidefinite")
+        keep = eigenvalues > SINGULAR_PRIOR_THRESHOLD * eigenvalues.mean() if mean.size else []
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "_whiten", eigenvectors[:, keep] * np.sqrt(eigenvalues[keep]))
 
     @property
     def order(self) -> int:
@@ -105,73 +125,93 @@ class MseCurve:
         if amps.shape != vals.shape or amps.ndim != 1:
             raise DimensionMismatchError("amplitudes and mse_values must be vectors of equal length")
         if amps.size > 1 and not np.all(np.diff(amps) > 0):
-            raise ValueError("amplitudes must be strictly increasing")
+            raise InvalidInputError("amplitudes must be strictly increasing")
         if np.any(vals < 0):
-            raise ValueError("mse values must be nonnegative")
+            raise InvalidInputError("mse values must be nonnegative")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "mse_values", vals)
 
 
 @dataclass(frozen=True)
-class _Posterior:
-    """Factor ``q r`` of the (whitened) design; error covariance ``sigma2 root root^H``."""
+class _Factor:
+    """SVD ``Phi T = U diag(s) V^H`` of the whitened design; no noise variance in it.
 
-    q: np.ndarray
-    r: np.ndarray
-    root: np.ndarray
-    sigma2: float
+    ``T`` is the identity for LS and the prior root for LMMSE.  ``s`` is padded
+    with zeros to the ``k`` columns of ``T`` and ``basis`` is ``T V``, so the
+    factored system at noise variance ``sigma2`` has the singular values
+    ``sqrt(s^2 + rho sigma2)``, with ``rho`` 0 for LS and 1 for LMMSE.
+    """
 
-    def covariance(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Error covariance of ``rows @ beta`` (of ``beta`` itself by default)."""
-        z = self.root if rows is None else rows @ self.root
-        cov = self.sigma2 * (z @ z.conj().T)
+    u: np.ndarray
+    s: np.ndarray
+    basis: np.ndarray
+    regularized: bool
+
+    def singular_values(self, sigma2: float) -> np.ndarray:
+        """Singular values of the factored system at ``sigma2``, after its rank test.
+
+        The one rank test is ``cond >= CONDITION_LIMIT``, written without
+        dividing by zero; a system with no direction left passes.
+        """
+        _require_noise_variance(sigma2)
+        sv = np.hypot(self.s, math.sqrt(sigma2)) if self.regularized else self.s
+        # s comes sorted in descending order, and so does sv.
+        if sv.size and not sv[-1] * CONDITION_LIMIT > sv[0]:
+            cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0 else math.inf
+            raise RankDeficiencyError(
+                f"condition number {cond:.3e} of the factored system reaches {CONDITION_LIMIT:.0e}; "
+                "LS needs at least L pilots with distinct magnitudes"
+            )
+        return sv
+
+    def covariance(self, sigma2: float, rows: np.ndarray | None = None) -> np.ndarray:
+        """Error covariance of ``rows @ beta`` (of ``beta`` itself by default).
+
+        It is ``sigma2 z z^H`` with ``z = rows @ root`` and the root ``T V / sv``.
+        """
+        root = self.basis / self.singular_values(sigma2)
+        z = root if rows is None else rows @ root
+        cov = sigma2 * (z @ z.conj().T)
         return 0.5 * (cov + cov.conj().T)
 
-    def mse(self, amplitudes) -> np.ndarray:
-        """Prediction MSE at real nonnegative amplitudes, where it depends on nothing else."""
+    def update(self, residual: np.ndarray, sigma2: float) -> np.ndarray:
+        """``T V diag(s / sv^2) U^H residual``: the LS estimate, or the LMMSE step from the mean."""
+        sv = self.singular_values(sigma2)
+        m = self.u.shape[1]
+        return self.basis[:, :m] @ (self.s[:m] / sv[:m] ** 2 * (self.u.conj().T @ residual))
+
+    def mse(self, amplitudes, sigma2s) -> np.ndarray:
+        """Prediction MSE at real nonnegative amplitudes (rows) for each noise variance (columns).
+
+        ``MSE(a) = sum_i |f(a)^T T v_i|^2 sigma2 / sv_i^2`` with the monomial rows
+        ``f(a) = (a, ..., a^L)``; every ``sigma2`` passes its own rank test.
+        """
         a = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-        z = (a[:, None] ** np.arange(1, self.root.shape[0] + 1)) @ self.root
-        return self.sigma2 * np.sum(np.abs(z) ** 2, axis=1)
+        weights = np.zeros((self.s.size, len(sigma2s)))
+        for j, sigma2 in enumerate(sigma2s):
+            weights[:, j] = sigma2 / self.singular_values(sigma2) ** 2
+        rows = a[:, None] ** np.arange(1, self.basis.shape[0] + 1)
+        return np.abs(rows @ self.basis) ** 2 @ weights
 
 
-def _posterior(design: np.ndarray, sigma2: float, prior: PriorStatistics | None = None) -> _Posterior:
-    """Factor the LS problem (no prior) or the whitened LMMSE problem with one QR.
+def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor:
+    """Factor the LS problem (no prior) or the whitened LMMSE problem with one SVD.
 
-    LS takes the QR of ``Phi``.  LMMSE writes the prior covariance as
-    ``C = T T^H`` from its eigendecomposition, keeping the directions whose
-    eigenvalue exceeds ``SINGULAR_PRIOR_THRESHOLD`` times the mean eigenvalue,
-    and takes the QR of ``[Phi T; sigma I]``.  Either way the error covariance
-    is ``sigma2 root root^H`` with ``root = R^-1`` (LS) or ``T R^-1`` (LMMSE).
-    The one rank test is ``cond(R) >= CONDITION_LIMIT``; ``cond(R)`` equals the
-    condition number of the factored system.
+    LS takes the SVD of ``Phi``.  LMMSE takes that of ``Phi T``, where ``T`` is
+    the prior root kept by :class:`PriorStatistics`; with more kept directions
+    than pilots the full ``V`` is taken and ``s`` padded with zeros.
     """
-    _require_noise_variance(sigma2)
     design = _require_finite(design, "design matrix")
     if design.ndim != 2 or (prior is not None and design.shape[1] != prior.order):
         raise DimensionMismatchError("design matrix must be 2-D and, with a prior, as wide as its order")
     n, order = design.shape
-    if prior is None:
-        if n < order:
-            raise RankDeficiencyError(f"need at least {order} pilots, got {n}")
-        whiten = None
-        stacked = design
-    else:
-        eigenvalues, eigenvectors = np.linalg.eigh(prior.covariance)
-        keep = eigenvalues > SINGULAR_PRIOR_THRESHOLD * eigenvalues.mean()
-        whiten = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
-        stacked = np.vstack([design @ whiten, math.sqrt(sigma2) * np.eye(whiten.shape[1])])
-    q, r = np.linalg.qr(stacked)
-    # The one rank test, cond(R) >= CONDITION_LIMIT, written without dividing by zero.
-    singular_values = np.linalg.svd(r, compute_uv=False)
-    if r.size and not singular_values[-1] * CONDITION_LIMIT > singular_values[0]:
-        raise RankDeficiencyError(
-            f"condition number {np.linalg.cond(r):.3e} of the factored system reaches {CONDITION_LIMIT:.0e}; "
-            "LS needs at least L pilots with distinct magnitudes"
-        )
-    root = np.linalg.inv(r)
-    if whiten is not None:
-        root = whiten @ root
-    return _Posterior(q[:n], r, root, sigma2)
+    if prior is None and n < order:
+        raise RankDeficiencyError(f"need at least {order} pilots, got {n}")
+    whitened = design if prior is None else design @ prior._whiten
+    k = whitened.shape[1]
+    u, s, vh = np.linalg.svd(whitened, full_matrices=n < k)
+    basis = vh.conj().T if prior is None else prior._whiten @ vh.conj().T
+    return _Factor(u, np.concatenate([s, np.zeros(k - s.size)]), basis, prior is not None)
 
 
 def _check_observations(design: np.ndarray, observations: np.ndarray) -> np.ndarray:
@@ -183,10 +223,10 @@ def _check_observations(design: np.ndarray, observations: np.ndarray) -> np.ndar
 
 def ls_estimate(design: np.ndarray, observations: np.ndarray, sigma2: float) -> EstimationResult:
     """Least-squares estimate with error covariance ``sigma2 * (Phi^H Phi)^-1``."""
-    post = _posterior(design, sigma2)
+    factor = _factor(design)
+    covariance = factor.covariance(sigma2)
     observations = _check_observations(design, observations)
-    estimate = post.root @ (post.q.conj().T @ observations)
-    return EstimationResult(estimate, post.covariance())
+    return EstimationResult(factor.update(observations, sigma2), covariance)
 
 
 def lmmse_estimate(
@@ -194,19 +234,19 @@ def lmmse_estimate(
 ) -> EstimationResult:
     """LMMSE estimate; regularized by the prior, so ``N < L`` is allowed.
 
-    The estimate is ``mean + T z`` with ``C = T T^H`` and ``z`` the least-squares
-    solution of ``[Phi T; sigma I] z = [r - Phi mean; 0]``.  It equals both
+    With ``C = T T^H`` and ``Phi T = U diag(s) V^H``, the estimate is
+    ``mean + T V diag(s / (s^2 + sigma2)) U^H (r - Phi mean)``.  It equals both
     textbook forms (information and observation space) and needs no ``C^-1``;
     prior directions at or below ``SINGULAR_PRIOR_THRESHOLD`` times the mean
     prior eigenvalue are taken as known.
     """
-    post = _posterior(design, sigma2, prior)
+    factor = _factor(design, prior)
+    covariance = factor.covariance(sigma2)
     observations = _check_observations(design, observations)
     if observations.size == 0:
         return EstimationResult(prior.mean.copy(), prior.covariance.copy())
     residual = observations - np.asarray(design, dtype=complex) @ prior.mean
-    estimate = prior.mean + post.root @ (post.q.conj().T @ residual)
-    return EstimationResult(estimate, post.covariance())
+    return EstimationResult(prior.mean + factor.update(residual, sigma2), covariance)
 
 
 def prediction_covariance(
@@ -220,11 +260,11 @@ def prediction_covariance(
     Returns ``sigma2 * Phi_t (Phi^H Phi)^-1 Phi_t^H`` without a prior and the
     LMMSE counterpart when one is given.
     """
-    post = _posterior(design, sigma2, prior)
+    factor = _factor(design, prior)
     prediction_design = np.asarray(prediction_design, dtype=complex)
-    if prediction_design.ndim != 2 or prediction_design.shape[1] != post.root.shape[0]:
+    if prediction_design.ndim != 2 or prediction_design.shape[1] != factor.basis.shape[0]:
         raise DimensionMismatchError("prediction matrix width must match the design matrix")
-    return post.covariance(prediction_design)
+    return factor.covariance(sigma2, prediction_design)
 
 
 def prediction_mse(
@@ -234,7 +274,7 @@ def prediction_mse(
     prior: PriorStatistics | None = None,
 ) -> float:
     """Prediction MSE at one input value; a function of ``abs(s_tilde)`` only."""
-    return float(_posterior(design, sigma2, prior).mse(abs(s_tilde))[0])
+    return float(_factor(design, prior).mse(abs(s_tilde), [sigma2])[0, 0])
 
 
 def mse_curve(
@@ -248,9 +288,8 @@ def mse_curve(
     if not np.isfinite(amplitudes).all():
         raise NonFiniteInputError("amplitudes hold NaN or infinite entries")
     if (amplitudes < 0).any():
-        raise ValueError("amplitudes must be nonnegative")
-    post = _posterior(design, sigma2, prior)
-    return MseCurve(amplitudes, post.mse(amplitudes))
+        raise InvalidInputError("amplitudes must be nonnegative")
+    return MseCurve(amplitudes, _factor(design, prior).mse(amplitudes, [sigma2])[:, 0])
 
 
 def max_prediction_mse(
@@ -268,13 +307,14 @@ def max_prediction_mse(
     2002), clipped to the range; every candidate is evaluated by the MSE itself.
     """
     if not 0 < max_amplitude < math.inf:
-        raise ValueError("max_amplitude must be positive and finite")
-    post = _posterior(design, sigma2, prior)
+        raise InvalidInputError("max_amplitude must be positive and finite")
+    factor = _factor(design, prior)
     cheb = np.polynomial.chebyshev
     half = 0.5 * max_amplitude
-    coef = cheb.chebinterpolate(lambda x: post.mse(half * (x + 1.0)), 2 * post.root.shape[0])
+    order = factor.basis.shape[0]
+    coef = cheb.chebinterpolate(lambda x: factor.mse(half * (x + 1.0), [sigma2])[:, 0], 2 * order)
     critical = np.clip(cheb.chebroots(cheb.chebder(coef)).real, -1.0, 1.0)
-    return float(post.mse(half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0)).max())
+    return float(factor.mse(half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0), [sigma2]).max())
 
 
 def generate_noisy_observations(

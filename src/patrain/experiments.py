@@ -7,10 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import allocate_pilots, uniform_pilots
-from .errors import CsvFormatError, DimensionMismatchError
+from .errors import CsvFormatError, DimensionMismatchError, InvalidInputError
 from .estimators import (
     EstimationResult,
     PriorStatistics,
+    _factor,
     _require_noise_variance,
     ls_estimate,
     lmmse_estimate,
@@ -76,18 +77,13 @@ class CsvTable:
             handle.write(self.to_csv())
 
 
-def _figure_max_mse(design, sigma2, prior=None):
-    grid = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
-    return float(mse_curve(design, grid, sigma2, prior).mse_values.max())
-
-
 def snr_db_to_sigma2(snr_db: float, convention: str, n_pilots: int, p_max: float = 1.0) -> float:
     """Noise variance for an SNR point under the chosen convention.
 
     A variance outside the float range raises :class:`InvalidNoiseError`.
     """
     if convention not in (PER_SYMBOL, TOTAL):
-        raise ValueError(f"unknown SNR convention: {convention!r}")
+        raise InvalidInputError(f"unknown SNR convention: {convention!r}")
     try:
         snr = 10.0 ** (snr_db / 10.0) * (n_pilots if convention == TOTAL else 1)
     except OverflowError:
@@ -121,10 +117,13 @@ def run_fig1(order: int = 5, n_pilots: int = 5, sigma2: float = 1.0) -> CsvTable
 
 def run_fig2(max_order: int = 8) -> CsvTable:
     """Maximal-MSE gain of the optimal over the uniform allocation for N = L."""
+    grid = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
     rows = []
     for order in range(1, max_order + 1):
-        d_uniform = _figure_max_mse(build_design_matrix(uniform_pilots(order), order), 1.0)
-        d_optimal = _figure_max_mse(build_design_matrix(allocate_pilots(order, order), order), 1.0)
+        d_uniform, d_optimal = (
+            _factor(build_design_matrix(pilots, order)).mse(grid, [1.0]).max()
+            for pilots in (uniform_pilots(order), allocate_pilots(order, order))
+        )
         rows.append([order, d_uniform / d_optimal])
     return CsvTable(("order", "gain_ratio"), rows)
 
@@ -186,16 +185,15 @@ def run_fig4(
         "uniform": build_design_matrix(uniform_pilots(n_pilots), order),
         "optimal": build_design_matrix(allocate_pilots(order, n_pilots), order),
     }
-    rows = []
-    for snr_db in snr_db_list:
-        sigma2 = snr_db_to_sigma2(snr_db, convention, n_pilots)
-        row = [snr_db]
-        for allocation in ("uniform", "optimal"):
-            row.append(_figure_max_mse(designs[allocation], sigma2))
-            row.append(_figure_max_mse(designs[allocation], sigma2, priors[COHERENT]))
-            row.append(_figure_max_mse(designs[allocation], sigma2, priors[NONCOHERENT]))
-        rows.append(row)
-    return CsvTable(FIG4_COLUMNS, rows)
+    # One factor per (allocation, prior) serves every SNR point of the sweep.
+    sigma2s = [snr_db_to_sigma2(snr_db, convention, n_pilots) for snr_db in snr_db_list]
+    amplitudes = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
+    columns = [
+        _factor(designs[allocation], prior).mse(amplitudes, sigma2s).max(axis=0)
+        for allocation in ("uniform", "optimal")
+        for prior in (None, priors[COHERENT], priors[NONCOHERENT])
+    ]
+    return CsvTable(FIG4_COLUMNS, np.column_stack([snr_db_list, *columns]))
 
 
 def design_table(
@@ -207,7 +205,7 @@ def design_table(
     elif allocation == "uniform":
         pilots = uniform_pilots(n_pilots, max_amplitude)
     else:
-        raise ValueError(f"unknown allocation: {allocation!r}")
+        raise InvalidInputError(f"unknown allocation: {allocation!r}")
     rows = np.column_stack(
         [np.arange(n_pilots), pilots.amplitudes(), np.angle(pilots.symbols)]
     )

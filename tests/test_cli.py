@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from patrain import PriorConfig, RappDistribution, build_prior, cli, save_prior
+from patrain import InvalidInputError, PriorConfig, RappDistribution, build_prior, cli, save_prior
 
 
 def run_cli(*args):
@@ -262,3 +262,44 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_subnormal_noise_is_numerical_error(capsys):
+    assert cli.main(["fig1", "--sigma2", "1e-320"]) == 3
+    assert "noise variance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fig1"],
+        ["fig2"],
+        ["fig3"],
+        ["fig4"],
+        ["design"],
+        ["estimate", "pilots.csv", "obs.csv", "--sigma2", "1"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_order_above_the_cap_is_usage_error(command, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order above the cap must not reach the experiments")
+
+    for name in ("run_fig1", "run_fig2", "run_fig3", "run_fig4", "design_table", "read_pilot_csv"):
+        monkeypatch.setattr(cli.experiments, name, refuse)
+    assert cli.main([*command, "--order", str(cli.MAX_ORDER + 1)]) == 2
+    assert "order" in capsys.readouterr().err
+
+
+def test_invalid_input_is_usage_error(monkeypatch, capsys):
+    def reject(*args, **kwargs):
+        raise InvalidInputError("unknown allocation: 'random'")
+
+    monkeypatch.setattr(cli.experiments, "design_table", reject)
+    assert cli.main(["design"]) == 2
+    assert "unknown allocation" in capsys.readouterr().err
+
+
+def test_fig4_beyond_the_monomial_order_range_is_numerical_error(capsys):
+    assert cli.main(["fig4", "--order", "17", "--pilots", "17"]) == 3
+    assert "condition number" in capsys.readouterr().err

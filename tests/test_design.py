@@ -1,3 +1,6 @@
+from fractions import Fraction
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -165,6 +168,35 @@ def test_d_criterion_optimal_beats_uniform():
 def test_d_criterion_rank_deficient_is_infinite():
     phi = build_design_matrix(PilotSequence([1.0, -1.0]), 2)
     assert d_criterion(phi, 1.0).log_det == np.inf
+
+
+def _exact_log_det_gram(phi):
+    """log det(Phi^T Phi) of a real design, from the exact rational Gram matrix."""
+    rows = [[Fraction(float(v)) for v in row] for row in phi.real]
+    size = len(rows[0])
+    gram = [[sum(row[i] * row[j] for row in rows) for j in range(size)] for i in range(size)]
+    det = Fraction(1)
+    for k in range(size):
+        pivot = gram[k][k]
+        det *= pivot
+        for i in range(k + 1, size):
+            scale = gram[i][k] / pivot
+            gram[i] = [a - scale * b for a, b in zip(gram[i], gram[k])]
+    return math.log(det.numerator) - math.log(det.denominator)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_d_criterion_matches_exact_log_det(order):
+    # The reference is exact: numpy's slogdet of the Gram matrix, whose
+    # condition number is the square of the design's, is off by up to 4.7 at
+    # L = 12 and even gets the sign wrong.  The tolerance follows cond(Phi)^2.
+    tolerance = 1e-11 if order <= 8 else 1e-9 if order <= 10 else 1e-6
+    for n_pilots in (order, 2 * order):
+        phi = build_design_matrix(allocate_pilots(order, n_pilots), order)
+        log_det = _exact_log_det_gram(phi)
+        for sigma2 in (1.0, 1e-3):
+            expected = order * math.log(sigma2) - log_det
+            assert abs(d_criterion(phi, sigma2).log_det - expected) <= tolerance
 
 
 @pytest.mark.parametrize("order", [16, 17])

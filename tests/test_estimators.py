@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from patrain import (
     DimensionMismatchError,
+    InvalidInputError,
     InvalidNoiseError,
     InvalidPriorError,
+    MseCurve,
     NoiseModel,
     NonFiniteInputError,
     PaPolynomial,
@@ -25,6 +27,8 @@ from patrain import (
     prediction_mse,
     uniform_pilots,
 )
+from patrain.estimators import _factor
+from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, snr_db_to_sigma2
 from patrain.prior import PriorConfig, RappDistribution, build_prior, default_fit_grid, fit_polynomial_to_curve
 
 
@@ -477,7 +481,7 @@ def test_noise_model_requires_positive_variance():
         NoiseModel(0.0)
 
 
-@pytest.mark.parametrize("sigma2", [-1.0, 0.0, np.inf, np.nan])
+@pytest.mark.parametrize("sigma2", [-1.0, 0.0, np.inf, np.nan, 1e-320, np.finfo(float).tiny / 2])
 def test_every_estimator_rejects_invalid_noise(sigma2):
     phi = build_design_matrix(allocate_pilots(3, 3), 3)
     prior = PriorStatistics(np.zeros(3), np.eye(3, dtype=complex))
@@ -514,6 +518,80 @@ def test_estimators_reject_nonfinite_inputs(bad):
     for call in calls:
         with pytest.raises(NonFiniteInputError):
             call()
+
+
+def test_smallest_normal_noise_variance_is_accepted():
+    tiny = float(np.finfo(float).tiny)
+    phi = build_design_matrix(allocate_pilots(2, 2), 2)
+    NoiseModel(tiny)
+    assert mse_curve(phi, [0.0, 1.0], tiny).mse_values[1] == pytest.approx(tiny, rel=1e-12)
+
+
+def test_domain_errors_are_invalid_input_and_value_errors():
+    phi = build_design_matrix(allocate_pilots(3, 3), 3)
+    calls = [
+        lambda: MseCurve([0.5, 0.25], [1.0, 1.0]),
+        lambda: MseCurve([0.25, 0.5], [1.0, -1.0]),
+        lambda: mse_curve(phi, [-0.5, 0.5], 1.0),
+        lambda: max_prediction_mse(phi, 1.0, max_amplitude=0.0),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+
+
+def _sweep_prior(kind, order, rng):
+    if kind == "none":
+        return None
+    if kind == "full":
+        cov = _random_hpd(rng, order, scale=0.1)
+    elif kind == "rank-deficient":
+        root = rng.normal(size=(order, order - 1)) + 1j * rng.normal(size=(order, order - 1))
+        cov = 0.1 * (root @ root.conj().T)
+        cov = 0.5 * (cov + cov.conj().T)
+    else:
+        cov = np.zeros((order, order), dtype=complex)
+    return PriorStatistics(rng.normal(size=order) + 0j, cov)
+
+
+SWEEP_CASES = [
+    (order, pilots, kind)
+    for order in range(2, 11)
+    for pilots in ("L", "2L", "L-1")
+    for kind in ("none", "full", "rank-deficient", "zero")
+    if not (pilots == "L-1" and kind == "none")
+]
+
+
+@pytest.mark.parametrize("order, pilots, kind", SWEEP_CASES)
+def test_sigma2_sweep_matches_per_sigma2_curves(order, pilots, kind):
+    # One factor evaluated for the whole SNR sweep at once, as fig2 and fig4
+    # do, against one public mse_curve call per noise variance.
+    rng = np.random.default_rng(order)
+    if pilots == "L-1":
+        n_pilots = order - 1
+        pilot_sequence = uniform_pilots(n_pilots)
+    else:
+        n_pilots = order * (2 if pilots == "2L" else 1)
+        pilot_sequence = allocate_pilots(order, n_pilots)
+    phi = build_design_matrix(pilot_sequence, order)
+    prior = _sweep_prior(kind, order, rng)
+    sigma2s = [snr_db_to_sigma2(snr_db, "per-symbol", n_pilots) for snr_db in DEFAULT_SNR_SWEEP_DB]
+    grid = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
+    sweep = _factor(phi, prior).mse(grid, sigma2s).max(axis=0)
+    single = np.array([mse_curve(phi, grid, sigma2, prior).mse_values.max() for sigma2 in sigma2s])
+    assert_allclose(sweep, single, rtol=1e-12 if order <= 8 else 1e-9, atol=0)
+    assert [format(v, ".9g") for v in sweep] == [format(v, ".9g") for v in single]
+
+
+def test_equal_priors_have_equal_repr():
+    rng = np.random.default_rng(3)
+    mean = rng.normal(size=4) + 0j
+    cov = _random_hpd(rng, 4)
+    first, second = PriorStatistics(mean, cov), PriorStatistics(mean.copy(), cov.copy())
+    assert repr(first) == repr(second)
+    assert "_whiten" not in repr(first)
 
 
 def test_prior_statistics_tolerances_are_relative():

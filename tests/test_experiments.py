@@ -5,13 +5,18 @@ from numpy.testing import assert_allclose
 from patrain import (
     CsvFormatError,
     DimensionMismatchError,
+    InvalidInputError,
     InvalidNoiseError,
     PilotSequence,
+    allocate_pilots,
     build_design_matrix,
+    mse_curve,
+    uniform_pilots,
 )
 from patrain.experiments import (
     CsvTable,
     DEFAULT_SNR_SWEEP_DB,
+    FIGURE_MSE_SAMPLES,
     design_table,
     estimate_from_files,
     estimation_table,
@@ -23,6 +28,7 @@ from patrain.experiments import (
     run_fig4,
     snr_db_to_sigma2,
 )
+from patrain.prior import COHERENT, NONCOHERENT, PriorConfig, RappDistribution, build_prior, default_fit_grid
 
 REFERENCE_FIG2_RATIOS = (1.0, 1.0, 1.17576, 1.62957, 2.54202, 4.48742, 9.10700, 20.7436)
 
@@ -105,11 +111,45 @@ def test_fig4_total_convention_scales_ls_columns():
     assert np.abs(coh_ratio - 1.0 / 7.0).max() > 1e-3
 
 
+@pytest.mark.parametrize("order, n_pilots, realizations", [(7, 7, 100), (4, 8, 300), (5, 10, 5), (3, 6, 2)])
+def test_fig4_sweep_matches_per_sigma2_curves(order, n_pilots, realizations):
+    # fig4 factors each (allocation, prior) pair once for the whole sweep; each
+    # cell must equal one mse_curve call per noise variance, to every printed
+    # digit.  Fewer realizations than the order give rank-deficient priors.
+    table = run_fig4(order, n_pilots, realizations=realizations, seed=2)
+    grid = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
+    priors = {"ls": None}
+    for estimator, mode in (("lmmse_coh", COHERENT), ("lmmse_noncoh", NONCOHERENT)):
+        config = PriorConfig(realizations, order, default_fit_grid(), mode, seed=2)
+        priors[estimator] = build_prior(config, RappDistribution())
+    designs = {
+        "uniform": build_design_matrix(uniform_pilots(n_pilots), order),
+        "optimal": build_design_matrix(allocate_pilots(order, n_pilots), order),
+    }
+    sigma2s = [snr_db_to_sigma2(snr_db, "per-symbol", n_pilots) for snr_db in table.column("snr_db")]
+    for allocation, design in designs.items():
+        for estimator, prior in priors.items():
+            column = table.column(f"d_{allocation}_{estimator}")
+            single = np.array([mse_curve(design, grid, sigma2, prior).mse_values.max() for sigma2 in sigma2s])
+            assert_allclose(column, single, rtol=1e-12, atol=0)
+            assert [format(v, ".9g") for v in column] == [format(v, ".9g") for v in single]
+
+
 def test_fig4_deterministic_per_seed():
     first = run_fig4(snr_db_list=[0.0, 60.0], seed=5)
     second = run_fig4(snr_db_list=[0.0, 60.0], seed=5)
     assert first.to_csv() == second.to_csv()
     assert run_fig3(seed=5).to_csv() == run_fig3(seed=5).to_csv()
+
+
+def test_unknown_convention_and_allocation_are_invalid_input():
+    with pytest.raises(InvalidInputError):
+        snr_db_to_sigma2(0.0, "per-pilot", 7)
+    with pytest.raises(InvalidInputError):
+        design_table(3, 3, allocation="random")
+    # Callers that catch ValueError keep working.
+    with pytest.raises(ValueError):
+        design_table(3, 3, allocation="random")
 
 
 def test_snr_sweep_default_matches_reference_points():
