@@ -1,30 +1,34 @@
 """Command-line front end writing experiment results as CSV files.
 
-Exit codes: 0 success, 2 usage error, 3 numerical error (rank or conditioning,
-noise variance, invalid prior), 4 I/O or CSV format error.
+Exit codes: 0 success, 2 an argparse usage error, and otherwise the code of
+the first :data:`EXIT_TABLE` row that matches the error raised.
 """
 
 import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import experiments
 from .errors import (
     CsvFormatError,
     DimensionMismatchError,
-    IllConditionedBasisError,
     InvalidInputError,
-    InvalidNoiseError,
-    InvalidPriorError,
-    NonFiniteInputError,
+    PatrainError,
     PilotAllocationError,
-    RankDeficiencyError,
 )
 from .prior import MAX_FIT_GRID_POINTS, default_fit_grid, load_prior
 
-EXIT_USAGE = 2
-EXIT_NUMERICAL = 3
-EXIT_IO = 4
+# The one map from errors to exit codes and message prefixes.  The first row
+# whose classes match wins, so the PatrainError catch-all comes last.  A float
+# overflow or invalid operation is a numerical error rather than an inf or nan
+# written into the output.
+EXIT_TABLE = (
+    ((InvalidInputError, PilotAllocationError, DimensionMismatchError), 2, "error"),
+    ((CsvFormatError, OSError), 4, "i/o error"),
+    ((PatrainError, FloatingPointError), 3, "numerical error"),
+)
 
 # Largest --order any subcommand accepts.  The support points take the
 # eigenvalues of a dense (L - 1) x (L - 1) Jacobi matrix, 8 (L - 1)^2 bytes and
@@ -122,22 +126,18 @@ def _add_grid_flags(p) -> None:
 
 def _fit_grid(args):
     if not (0 < args.fit_grid_max < math.inf and 0 < args.fit_grid_step < math.inf):
-        raise _UsageError("fit grid bounds must be positive and finite")
+        raise InvalidInputError("fit grid bounds must be positive and finite")
     # Count the points the way default_fit_grid does, before it allocates them.
     ratio = args.fit_grid_max / args.fit_grid_step
     points = round(ratio) + 1 if math.isfinite(ratio) else math.inf
     if points > MAX_FIT_GRID_POINTS:
-        raise _UsageError(f"fit grid would have {points} points; at most {MAX_FIT_GRID_POINTS} are allowed")
+        raise InvalidInputError(f"fit grid would have {points} points; at most {MAX_FIT_GRID_POINTS} are allowed")
     return default_fit_grid(args.fit_grid_max, args.fit_grid_step)
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _check(condition: bool, message: str) -> None:
     if not condition:
-        raise _UsageError(message)
+        raise InvalidInputError(message)
 
 
 def _check_order(order: int) -> None:
@@ -154,7 +154,6 @@ def _emit(table: experiments.CsvTable, out_path) -> int:
 
 def _cmd_fig1(args) -> int:
     _check_order(args.order)
-    _check(args.pilots >= 1, "pilots must be positive")
     _check(args.sigma2 > 0, "sigma2 must be positive")
     return _emit(experiments.run_fig1(args.order, args.pilots, args.sigma2), args.out)
 
@@ -166,15 +165,12 @@ def _cmd_fig2(args) -> int:
 
 def _cmd_fig3(args) -> int:
     _check_order(args.order)
-    _check(args.realizations >= 1, "realizations must be positive")
     table = experiments.run_fig3(args.realizations, args.order, args.seed, _fit_grid(args))
     return _emit(table, args.out)
 
 
 def _cmd_fig4(args) -> int:
     _check_order(args.order)
-    _check(args.pilots >= 1, "pilots must be positive")
-    _check(args.realizations >= 1, "realizations must be positive")
     _check(len(args.snr_db_list) >= 1, "need at least one SNR point")
     table = experiments.run_fig4(
         args.order,
@@ -190,7 +186,6 @@ def _cmd_fig4(args) -> int:
 
 def _cmd_design(args) -> int:
     _check_order(args.order)
-    _check(args.pilots >= 1, "pilots must be positive")
     _check(0 < args.max_amplitude < math.inf, "max amplitude must be positive and finite")
     table = experiments.design_table(
         args.order, args.pilots, args.max_amplitude, args.allocation
@@ -222,18 +217,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (_UsageError, PilotAllocationError, DimensionMismatchError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        RankDeficiencyError, IllConditionedBasisError, InvalidNoiseError, InvalidPriorError, NonFiniteInputError
-    ) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (CsvFormatError, OSError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (PatrainError, OSError, FloatingPointError) as exc:
+        code, prefix = next((code, prefix) for kinds, code, prefix in EXIT_TABLE if isinstance(exc, kinds))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

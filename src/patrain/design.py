@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, PilotAllocationError, RankDeficiencyError
+from .errors import ConvergenceError, InvalidInputError, PilotAllocationError, RankDeficiencyError
 from .estimators import _factor
 from .pa_model import PilotSequence, build_design_matrix
 
@@ -25,7 +25,7 @@ EXCHANGE_MAX_SWEEPS = 500
 EXCHANGE_MIN_GAIN = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalDesign:
     """Support amplitudes (sorted, last entry 1) and the pilots-per-point count."""
 
@@ -51,7 +51,7 @@ def legendre_derivative_roots(order: int) -> np.ndarray:
     mirror makes the pairs exactly symmetric and the middle root exactly 0.
     """
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidInputError("order must be >= 1")
     k = np.arange(1, order - 1)
     off_diagonal = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
     jacobi = np.zeros((order - 1, order - 1))
@@ -73,7 +73,7 @@ def optimal_support_points(order: int) -> np.ndarray:
 def optimal_design(order: int, n_pilots: int) -> OptimalDesign:
     """Support points plus multiplicity for ``n_pilots`` split evenly across them."""
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidInputError("order must be >= 1")
     if n_pilots < 1 or n_pilots % order != 0:
         raise PilotAllocationError(
             f"pilot count {n_pilots} must be a positive multiple of the order {order}"
@@ -101,14 +101,14 @@ def allocate_pilots(
         rng = np.random.default_rng(seed)
         symbols = amplitudes * np.exp(2j * np.pi * rng.uniform(size=n_pilots))
     else:
-        raise ValueError(f"unknown phase policy: {phase_policy!r}")
+        raise InvalidInputError(f"unknown phase policy: {phase_policy!r}")
     return PilotSequence(symbols, max_amplitude)
 
 
 def uniform_pilots(n_pilots: int, max_amplitude: float = 1.0) -> PilotSequence:
     """Baseline allocation with amplitudes ``(1/N, 2/N, ..., 1) * max_amplitude``."""
     if n_pilots < 1:
-        raise ValueError("n_pilots must be >= 1")
+        raise InvalidInputError("n_pilots must be >= 1")
     amplitudes = np.arange(1, n_pilots + 1) / n_pilots * max_amplitude
     return PilotSequence(amplitudes.astype(complex), max_amplitude)
 
@@ -157,7 +157,7 @@ def exchange_search_verify(
     pilot.
     """
     if grid_resolution < 100:
-        raise ValueError("grid_resolution must be >= 100")
+        raise InvalidInputError("grid_resolution must be >= 100")
     optimal_design(order, n_pilots)  # validates the multiplicity up front
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, grid_resolution + 1)

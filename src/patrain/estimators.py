@@ -61,7 +61,7 @@ class NoiseModel:
         _require_noise_variance(self.variance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorStatistics:
     """Prior mean and Hermitian PSD covariance of the polynomial coefficients.
 
@@ -77,7 +77,7 @@ class PriorStatistics:
 
     mean: np.ndarray
     covariance: np.ndarray
-    _whiten: np.ndarray = field(init=False, compare=False, repr=False)
+    _whiten: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=complex))
@@ -104,7 +104,7 @@ class PriorStatistics:
         return self.mean.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationResult:
     """Coefficient estimate together with its error covariance matrix."""
 
@@ -112,7 +112,7 @@ class EstimationResult:
     error_covariance: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MseCurve:
     """Prediction MSE sampled over a strictly increasing amplitude grid."""
 
@@ -132,7 +132,7 @@ class MseCurve:
         object.__setattr__(self, "mse_values", vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Factor:
     """SVD ``Phi T = U diag(s) V^H`` of the whitened design; no noise variance in it.
 
@@ -216,16 +216,16 @@ def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor
 
 def _check_observations(design: np.ndarray, observations: np.ndarray) -> np.ndarray:
     observations = _require_finite(observations, "observations")
-    if observations.shape != (np.shape(design)[0],):
+    if observations.shape != np.shape(design)[:1]:
         raise DimensionMismatchError("observation length must match the number of pilots")
     return observations
 
 
 def ls_estimate(design: np.ndarray, observations: np.ndarray, sigma2: float) -> EstimationResult:
     """Least-squares estimate with error covariance ``sigma2 * (Phi^H Phi)^-1``."""
+    observations = _check_observations(design, observations)
     factor = _factor(design)
     covariance = factor.covariance(sigma2)
-    observations = _check_observations(design, observations)
     return EstimationResult(factor.update(observations, sigma2), covariance)
 
 
@@ -240,9 +240,9 @@ def lmmse_estimate(
     prior directions at or below ``SINGULAR_PRIOR_THRESHOLD`` times the mean
     prior eigenvalue are taken as known.
     """
+    observations = _check_observations(design, observations)
     factor = _factor(design, prior)
     covariance = factor.covariance(sigma2)
-    observations = _check_observations(design, observations)
     if observations.size == 0:
         return EstimationResult(prior.mean.copy(), prior.covariance.copy())
     residual = observations - np.asarray(design, dtype=complex) @ prior.mean

@@ -1,6 +1,5 @@
 """Deterministic experiment runners producing the CSV data behind the figures."""
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .prior import (
     PriorConfig,
     RappDistribution,
     _check_fit_grid,
+    _seeded_rng,
     build_prior,
     default_fit_grid,
     draw_rapp_params,
@@ -33,6 +33,7 @@ from .prior import (
     fit_realizations,
     prior_from_fits,
     rapp_response_blocks,
+    read_csv_table,
 )
 
 PER_SYMBOL = "per-symbol"
@@ -48,7 +49,7 @@ CURVE_SAMPLES = 501
 DEFAULT_SNR_SWEEP_DB = tuple(i * 20.0 / 3.0 for i in range(10))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsvTable:
     """Rectangular numeric table serialized with ``digits`` significant digits."""
 
@@ -141,7 +142,7 @@ def run_fig3(
     """
     grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
     dist = RappDistribution()
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     responses = np.concatenate(list(rapp_response_blocks(dist, rng, realizations, grid)))
     nominal_params = RappParameters(dist.gain_mean, dist.v_sat_mean, dist.smoothness_mean)
     nominal = rapp_response(nominal_params, grid)
@@ -174,17 +175,18 @@ def run_fig4(
     fit_grid: np.ndarray | None = None,
 ) -> CsvTable:
     """Maximal prediction MSE against SNR for every estimator and allocation."""
+    # The designs come first, so a bad pilot count fails before the prior fits.
+    designs = {
+        "uniform": build_design_matrix(uniform_pilots(n_pilots), order),
+        "optimal": build_design_matrix(allocate_pilots(order, n_pilots), order),
+    }
     grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
-    # A short grid is a rank error here, as in run_fig3, not PriorConfig's ValueError.
+    # A short grid is a rank error here, as in run_fig3, not PriorConfig's InvalidInputError.
     _check_fit_grid(grid, order)
     dist = RappDistribution()
     # One set of fits serves both modes; each prior equals build_prior's for its mode.
     fits = fit_realizations(PriorConfig(realizations, order, grid, COHERENT, seed), dist)
     priors = {mode: prior_from_fits(fits, mode) for mode in (COHERENT, NONCOHERENT)}
-    designs = {
-        "uniform": build_design_matrix(uniform_pilots(n_pilots), order),
-        "optimal": build_design_matrix(allocate_pilots(order, n_pilots), order),
-    }
     # One factor per (allocation, prior) serves every SNR point of the sweep.
     sigma2s = [snr_db_to_sigma2(snr_db, convention, n_pilots) for snr_db in snr_db_list]
     amplitudes = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
@@ -237,36 +239,16 @@ def estimate_from_files(
     sigma2: float,
     prior: PriorStatistics | None = None,
 ) -> EstimationResult:
-    """Batch estimation entry point shared by the CLI."""
-    if observations.shape != (len(pilots),):
-        raise DimensionMismatchError("observation count must match the pilot count")
+    """Batch estimation entry point shared by the CLI; the estimator checks the observation count."""
     design = build_design_matrix(pilots, order)
     if prior is None:
         return ls_estimate(design, observations, sigma2)
     return lmmse_estimate(design, observations, sigma2, prior)
 
 
-def _read_csv_columns(path, expected_header: tuple, label: str) -> np.ndarray:
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or tuple(rows[0]) != expected_header:
-        raise CsvFormatError(f"{label}: expected header {','.join(expected_header)}")
-    try:
-        body = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=float)
-    except ValueError as exc:
-        raise CsvFormatError(f"{label}: non-numeric cell") from exc
-    if body.ndim != 2 or body.size == 0 or body.shape[1] != len(expected_header):
-        raise CsvFormatError(f"{label}: malformed rows")
-    if not np.all(np.isfinite(body)):
-        raise CsvFormatError(f"{label}: non-finite cell")
-    if not np.array_equal(body[:, 0], np.arange(len(body))):
-        raise CsvFormatError(f"{label}: index column must read 0..{len(body) - 1} in order")
-    return body
-
-
 def read_pilot_csv(path) -> PilotSequence:
     """Pilot sequence from an (index, amp, phase) CSV."""
-    body = _read_csv_columns(path, ("index", "amp", "phase"), "pilot csv")
+    body = read_csv_table(path, ("index", "amp", "phase"), "pilot csv")
     amps, phases = body[:, 1], body[:, 2]
     if np.any(amps < 0):
         raise CsvFormatError("pilot csv: negative amplitude")
@@ -278,5 +260,5 @@ def read_pilot_csv(path) -> PilotSequence:
 
 def read_observation_csv(path) -> np.ndarray:
     """Complex observation vector from an (index, re, im) CSV."""
-    body = _read_csv_columns(path, ("index", "re", "im"), "observation csv")
+    body = read_csv_table(path, ("index", "re", "im"), "observation csv")
     return body[:, 1] + 1j * body[:, 2]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedBasisError
+from .errors import IllConditionedBasisError, InvalidInputError
 
 # Condition number above which a matrix is treated as numerically singular.
 CONDITION_LIMIT = 1e12
@@ -21,7 +21,7 @@ CONDITION_LIMIT = 1e12
 AMPLITUDE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PaPolynomial:
     """Complex polynomial PA model of order ``L = len(coefficients)``.
 
@@ -34,7 +34,7 @@ class PaPolynomial:
     def __post_init__(self) -> None:
         coef = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
         if coef.ndim != 1 or coef.size < 1:
-            raise ValueError("coefficients must be a nonempty vector")
+            raise InvalidInputError("coefficients must be a nonempty vector")
         object.__setattr__(self, "coefficients", coef)
 
     @property
@@ -42,7 +42,7 @@ class PaPolynomial:
         return self.coefficients.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PilotSequence:
     """Training symbols with a per-symbol amplitude cap ``max_amplitude``."""
 
@@ -52,11 +52,11 @@ class PilotSequence:
     def __post_init__(self) -> None:
         symbols = np.atleast_1d(np.asarray(self.symbols, dtype=complex))
         if symbols.ndim != 1:
-            raise ValueError("symbols must be a vector")
+            raise InvalidInputError("symbols must be a vector")
         if not 0 < self.max_amplitude < np.inf:
-            raise ValueError("max_amplitude must be positive and finite")
+            raise InvalidInputError("max_amplitude must be positive and finite")
         if symbols.size and np.abs(symbols).max() > self.max_amplitude + AMPLITUDE_TOLERANCE:
-            raise ValueError("pilot amplitude exceeds max_amplitude")
+            raise InvalidInputError("pilot amplitude exceeds max_amplitude")
         object.__setattr__(self, "symbols", symbols)
 
     def amplitudes(self) -> np.ndarray:
@@ -76,7 +76,7 @@ class RappParameters:
 
     def __post_init__(self) -> None:
         if not (self.gain > 0 and self.v_sat > 0 and self.smoothness > 0):
-            raise ValueError("all Rapp parameters must be strictly positive")
+            raise InvalidInputError("all Rapp parameters must be strictly positive")
 
 
 def eval_polynomial(model: PaPolynomial, s):
@@ -93,7 +93,7 @@ def eval_polynomial(model: PaPolynomial, s):
 def build_design_matrix(pilots: PilotSequence, order: int) -> np.ndarray:
     """N x L complex matrix with entry (n, l) = s_n |s_n|^(l-1)."""
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidInputError("order must be >= 1")
     s = pilots.symbols
     return s[:, None] * np.abs(s)[:, None] ** np.arange(order)
 
@@ -101,7 +101,7 @@ def build_design_matrix(pilots: PilotSequence, order: int) -> np.ndarray:
 def build_prediction_vector(s_tilde: complex, order: int) -> np.ndarray:
     """Basis vector (s, s|s|, ..., s|s|^(L-1)) at a single input value."""
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidInputError("order must be >= 1")
     return np.asarray(s_tilde * abs(s_tilde) ** np.arange(order), dtype=complex)
 
 
@@ -138,7 +138,7 @@ def rapp_response(params: RappParameters, amplitude):
     """
     a = np.asarray(amplitude, dtype=float)
     if np.any(a < 0):
-        raise ValueError("amplitude must be nonnegative")
+        raise InvalidInputError("amplitude must be nonnegative")
     out = rapp_am_am(params.gain, params.v_sat, params.smoothness, a)
     return float(out) if np.isscalar(amplitude) or a.ndim == 0 else out
 

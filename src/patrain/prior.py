@@ -9,12 +9,11 @@ compensated (coherent) or averaged out (noncoherent).
 """
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CsvFormatError, RankDeficiencyError
+from .errors import CsvFormatError, InvalidInputError, RankDeficiencyError
 from .estimators import PriorStatistics
 from .pa_model import PaPolynomial, RappParameters, rapp_am_am, rapp_response
 
@@ -50,10 +49,10 @@ class RappDistribution:
 
     def __post_init__(self) -> None:
         if min(self.gain_variance, self.v_sat_variance, self.smoothness_variance) < 0:
-            raise ValueError("variances must be nonnegative")
+            raise InvalidInputError("variances must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorConfig:
     """Settings for one prior build: realization count, fit order, grid, mode, seed."""
 
@@ -65,13 +64,20 @@ class PriorConfig:
 
     def __post_init__(self) -> None:
         if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+            raise InvalidInputError("realizations must be >= 1")
         if self.mode not in (COHERENT, NONCOHERENT):
-            raise ValueError(f"unknown prior mode: {self.mode!r}")
+            raise InvalidInputError(f"unknown prior mode: {self.mode!r}")
         grid = np.asarray(self.fit_grid, dtype=float)
         if np.unique(grid[grid > 0]).size < self.fit_order:
-            raise ValueError("fit grid needs at least fit_order distinct positive points")
+            raise InvalidInputError("fit grid needs at least fit_order distinct positive points")
         object.__setattr__(self, "fit_grid", grid)
+
+
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The random stream of ``seed``; a negative seed raises :class:`InvalidInputError`."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def draw_rapp_params(dist: RappDistribution, rng: np.random.Generator) -> RappParameters:
@@ -108,9 +114,11 @@ def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count
     :func:`draw_rapp_params` return, and each row equals :func:`rapp_response`
     for them, bit for bit.
     """
+    if count < 1:
+        raise InvalidInputError(f"realization count must be >= 1, got {count}")
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0):
-        raise ValueError("amplitude must be nonnegative")
+        raise InvalidInputError("amplitude must be nonnegative")
     loc = np.array([dist.gain_mean, dist.v_sat_mean, dist.smoothness_mean])
     scale = np.sqrt([dist.gain_variance, dist.v_sat_variance, dist.smoothness_variance])
     for start in range(0, count, FIT_BLOCK):
@@ -148,7 +156,7 @@ def fit_realizations(config: PriorConfig, dist: RappDistribution) -> np.ndarray:
     :func:`fit_polynomial_to_curve` call to a few ulps.
     """
     basis = _fit_basis(config.fit_grid, config.fit_order)
-    rng = np.random.default_rng(config.seed)
+    rng = _seeded_rng(config.seed)
     # Filled in place to stay C-ordered: on an F-ordered array the moment sums
     # in prior_from_fits round differently.
     coefficients = np.empty((config.realizations, config.fit_order), dtype=complex)
@@ -177,7 +185,7 @@ def prior_from_fits(coefficients: np.ndarray, mode: str) -> PriorStatistics:
         mean = np.zeros(order, dtype=complex)
         covariance = second_moment
     else:
-        raise ValueError(f"unknown prior mode: {mode!r}")
+        raise InvalidInputError(f"unknown prior mode: {mode!r}")
     covariance = 0.5 * (covariance + covariance.conj().T)
     return PriorStatistics(mean, covariance)
 
@@ -188,20 +196,24 @@ def build_prior(config: PriorConfig, dist: RappDistribution) -> PriorStatistics:
     return prior_from_fits(fit_realizations(config, dist), config.mode)
 
 
+_MEAN_HEADER = ("index", "re", "im")
+
+
+def _covariance_header(order: int) -> tuple:
+    """Header of an order-``order`` covariance CSV: ``re_0, im_0, ..., im_{order-1}``."""
+    return tuple(f"{part}_{j}" for j in range(order) for part in ("re", "im"))
+
+
 def save_prior(prior: PriorStatistics, mean_path, cov_path) -> None:
     """Write the prior as a CSV pair: mean (index, re, im) and row-major covariance."""
-    order = prior.order
     with open(mean_path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["index", "re", "im"])
+        writer.writerow(_MEAN_HEADER)
         for i, value in enumerate(prior.mean):
             writer.writerow([i, format(value.real, ".17g"), format(value.imag, ".17g")])
     with open(cov_path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        header = []
-        for j in range(order):
-            header += [f"re_{j}", f"im_{j}"]
-        writer.writerow(header)
+        writer.writerow(_covariance_header(prior.order))
         for row in prior.covariance:
             cells = []
             for value in row:
@@ -209,35 +221,41 @@ def save_prior(prior: PriorStatistics, mean_path, cov_path) -> None:
             writer.writerow(cells)
 
 
-def _read_rows(path, expected_width: int, label: str) -> list[list[float]]:
+def read_csv_table(path, header: tuple, label: str) -> np.ndarray:
+    """Numeric body of a CSV file whose first row is exactly ``header``.
+
+    Each of the one or more data rows has one cell per header column, every
+    cell is a finite number, and a leading ``index`` column reads 0..n-1 in
+    order.  Any other content raises :class:`CsvFormatError` naming ``label``.
+    """
     with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise CsvFormatError(f"{label}: empty file")
-    body = []
-    for row in rows[1:]:
-        if len(row) != expected_width:
-            raise CsvFormatError(f"{label}: expected {expected_width} columns, got {len(row)}")
         try:
-            values = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise CsvFormatError(f"{label}: non-numeric cell") from exc
-        if not all(math.isfinite(value) for value in values):
-            raise CsvFormatError(f"{label}: non-finite cell")
-        body.append(values)
+            rows = list(csv.reader(handle))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise CsvFormatError(f"{label}: {exc}") from exc
+    if not rows or tuple(rows[0]) != header:
+        raise CsvFormatError(f"{label}: expected header {','.join(header)}")
+    if len(rows) == 1:
+        raise CsvFormatError(f"{label}: no data rows")
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise CsvFormatError(f"{label}: expected {len(header)} columns, got {len(row)}")
+    try:
+        body = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=float)
+    except ValueError as exc:
+        raise CsvFormatError(f"{label}: non-numeric cell") from exc
+    if not np.all(np.isfinite(body)):
+        raise CsvFormatError(f"{label}: non-finite cell")
+    if header[0] == "index" and not np.array_equal(body[:, 0], np.arange(len(body))):
+        raise CsvFormatError(f"{label}: index column must read 0..{len(body) - 1} in order")
     return body
 
 
 def load_prior(mean_path, cov_path) -> PriorStatistics:
     """Read a prior written by :func:`save_prior`."""
-    mean_rows = _read_rows(mean_path, 3, "prior mean")
-    if [index for index, _, _ in mean_rows] != list(range(len(mean_rows))):
-        raise CsvFormatError(f"prior mean: index column must read 0..{len(mean_rows) - 1} in order")
-    mean = np.array([complex(re, im) for _, re, im in mean_rows])
-    order = mean.size
-    cov_rows = _read_rows(cov_path, 2 * order, "prior covariance")
-    if len(cov_rows) != order:
+    mean_rows = read_csv_table(mean_path, _MEAN_HEADER, "prior mean")
+    mean = mean_rows[:, 1] + 1j * mean_rows[:, 2]
+    cov_rows = read_csv_table(cov_path, _covariance_header(mean.size), "prior covariance")
+    if len(cov_rows) != mean.size:
         raise CsvFormatError("prior covariance row count must match the mean length")
-    flat = np.asarray(cov_rows, dtype=float)
-    covariance = flat[:, 0::2] + 1j * flat[:, 1::2]
-    return PriorStatistics(mean, covariance)
+    return PriorStatistics(mean, cov_rows[:, 0::2] + 1j * cov_rows[:, 1::2])

@@ -1,10 +1,25 @@
+import contextlib
+import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patrain import InvalidInputError, PriorConfig, RappDistribution, build_prior, cli, save_prior
+from patrain import (
+    CsvFormatError,
+    DimensionMismatchError,
+    InvalidInputError,
+    PatrainError,
+    PilotAllocationError,
+    PriorConfig,
+    RappDistribution,
+    build_prior,
+    cli,
+    save_prior,
+)
 
 
 def run_cli(*args):
@@ -303,3 +318,152 @@ def test_invalid_input_is_usage_error(monkeypatch, capsys):
 def test_fig4_beyond_the_monomial_order_range_is_numerical_error(capsys):
     assert cli.main(["fig4", "--order", "17", "--pilots", "17"]) == 3
     assert "condition number" in capsys.readouterr().err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "error", list(dict.fromkeys([PatrainError, *_subclasses(PatrainError)])), ids=lambda error: error.__name__
+)
+def test_every_package_error_has_an_exit_code(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli.experiments, "run_fig2", fail)
+    if issubclass(error, (InvalidInputError, PilotAllocationError, DimensionMismatchError)):
+        expected = 2
+    elif issubclass(error, CsvFormatError):
+        expected = 4
+    else:
+        expected = 3
+    assert cli.main(["fig2"]) == expected
+    err = capsys.readouterr().err
+    assert "raised on purpose" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["pilots", "obs", "mean", "cov"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [("header", "header"), ("ragged", "columns"), ("binary", "decode"), ("huge-cell", "field limit")],
+)
+def test_estimate_rejects_a_malformed_line_in_any_csv(tmp_path, capsys, target, fault, message):
+    paths = _write_estimate_inputs(tmp_path)
+    lines = paths[target].read_text().splitlines()
+    if fault == "header":
+        lines[0] = "x" + lines[0]
+    elif fault == "ragged":
+        lines[2] = lines[2][: lines[2].rindex(",")]
+    elif fault == "huge-cell":
+        lines[2] = "0" * 200_000 + lines[2]
+    text = "\n".join(lines) + "\n"
+    paths[target].write_bytes(b"\xff" + text.encode() if fault == "binary" else text.encode())
+    assert _estimate_with_prior(paths) == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fig1", "--order", "12", "--pilots", "24", "--sigma2", "1e300"],
+        ["fig3", "--realizations", "3", "--fit-grid-max", "1e300", "--fit-grid-step", "1e298"],
+        ["fig4", "--realizations", "3", "--snr-db-list=-3000"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_float_overflow_is_numerical_error(command, capsys):
+    # Without the check these runs write inf or nan into the table.
+    assert cli.main(command) == 3
+    assert "overflow" in capsys.readouterr().err
+
+
+# Flag values for the CLI fuzz as (in-domain, edge) lists.  The edge values are
+# the ends of each domain and values just past the caps.  Accepted sizes stay
+# at order <= 12, pilots <= 24 and realizations <= 20, since the realization
+# count has no cap of its own.
+_EDGE_FLOATS = ["0", "-1", "nan", "inf", "-inf", "1e309", "1e-320", "1e300"]
+_FUZZ_VALUES = {
+    "--order": (["1", "2", "4", "12"], ["-1", "0", str(cli.MAX_ORDER + 1), "nan"]),
+    "--pilots": (["12", "24"], ["-1", "0", "5", "inf"]),
+    "--realizations": (["1", "20"], ["-1", "0", "nan"]),
+    "--seed": (["0", "7"], ["-1", "x"]),
+    "--sigma2": (["1e-3", "1"], _EDGE_FLOATS),
+    "--max-amplitude": (["1", "2.5"], _EDGE_FLOATS),
+    "--fit-grid-max": (["0.1", "1.5"], _EDGE_FLOATS),
+    "--fit-grid-step": (
+        ["0.05", "0.0625", str(1.5 / (cli.MAX_FIT_GRID_POINTS - 1))],
+        [*_EDGE_FLOATS, str(1.5 / cli.MAX_FIT_GRID_POINTS)],
+    ),
+    "--snr-db-list": (["0", "0,60"], ["", ",", "nan", "4000", "-4000", "-3000", "1e309", "x"]),
+    "--snr-convention": (["per-symbol", "total"], ["other"]),
+    "--allocation": (["optimal", "uniform"], ["other"]),
+    "--estimator": (["ls", "lmmse"], ["other"]),
+}
+_FUZZ_FLAGS = {
+    "fig1": ["--order", "--pilots", "--sigma2"],
+    "fig2": ["--order"],
+    "fig3": ["--order", "--realizations", "--seed", "--fit-grid-max", "--fit-grid-step"],
+    "fig4": [
+        "--order", "--pilots", "--realizations", "--seed", "--fit-grid-max", "--fit-grid-step",
+        "--snr-db-list", "--snr-convention",
+    ],
+    "design": ["--order", "--pilots", "--max-amplitude", "--allocation"],
+    "estimate": ["--order", "--sigma2", "--estimator", "--prior-mean", "--prior-cov"],
+}
+# Flags always passed: estimate requires the first two, and the realization
+# default (100) is above the fuzz sizes.
+_FUZZ_ALWAYS = {"--order", "--sigma2", "--realizations"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "pilots": "index,amp,phase\n0,0.5,0\n1,1,0\n",
+        "pilots3": "index,amp,phase\n0,0.5,0\n1,0.75,1\n2,1,0\n",
+        "obs": "index,re,im\n0,0.4,0\n1,0.9,0\n",
+        "obs1": "index,re,im\n0,0.4,0\n",
+        "mean": "index,re,im\n0,1,0\n1,0,0\n",
+        "cov": "re_0,im_0,re_1,im_1\n1,0,0,0\n0,0,1,0\n",
+        "bad": "index,amp\n0,nan\n",
+    }
+    for name, text in texts.items():
+        (root / f"{name}.csv").write_text(text)
+    path = {name: str(root / f"{name}.csv") for name in [*texts, "missing"]}
+    edge = [path["bad"], path["missing"], str(root)]
+    return {
+        "pilot_csv": ([path["pilots"], path["pilots3"]], edge),
+        "observation_csv": ([path["obs"], path["obs1"]], edge),
+        "--prior-mean": ([path["mean"]], [path["cov"], *edge]),
+        "--prior-cov": ([path["cov"]], [path["mean"], *edge]),
+        "--out": ([], [str(root)]),
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_files, data):
+    values = {**_FUZZ_VALUES, **fuzz_files}
+    command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    positional = ["pilot_csv", "observation_csv"] if command == "estimate" else []
+    argv = [command]
+    for name in [*positional, *_FUZZ_FLAGS[command], "--out"]:
+        # Half the values are in the domain and a quarter are edge values; the
+        # last quarter leaves an optional flag at its default.
+        pick = data.draw(st.sampled_from(["good", "good", "default", "edge"]))
+        if pick == "default" and (name in positional or name in _FUZZ_ALWAYS):
+            pick = "good"
+        good, edge = values[name]
+        pool = {"good": good, "edge": edge, "default": []}[pick]
+        if pool:
+            value = data.draw(st.sampled_from(pool))
+            argv.append(value if name in positional else f"{name}={value}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+    assert code in (0, 2, 3, 4), argv

@@ -16,20 +16,34 @@ from patrain import (
     PilotSequence,
     PriorStatistics,
     RankDeficiencyError,
+    RappParameters,
     allocate_pilots,
     build_design_matrix,
+    build_prediction_vector,
+    exchange_search_verify,
     generate_noisy_observations,
+    legendre_derivative_roots,
     lmmse_estimate,
     ls_estimate,
     max_prediction_mse,
     mse_curve,
+    optimal_design,
     prediction_covariance,
     prediction_mse,
+    rapp_response,
     uniform_pilots,
 )
 from patrain.estimators import _factor
-from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, snr_db_to_sigma2
-from patrain.prior import PriorConfig, RappDistribution, build_prior, default_fit_grid, fit_polynomial_to_curve
+from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig3, snr_db_to_sigma2
+from patrain.prior import (
+    PriorConfig,
+    RappDistribution,
+    build_prior,
+    default_fit_grid,
+    fit_polynomial_to_curve,
+    prior_from_fits,
+    rapp_response_blocks,
+)
 
 
 def _random_pilots(rng, order, n_pilots):
@@ -534,11 +548,57 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         lambda: MseCurve([0.25, 0.5], [1.0, -1.0]),
         lambda: mse_curve(phi, [-0.5, 0.5], 1.0),
         lambda: max_prediction_mse(phi, 1.0, max_amplitude=0.0),
+        # pa_model
+        lambda: PaPolynomial([]),
+        lambda: PilotSequence(np.full((2, 2), 0.5)),
+        lambda: PilotSequence([0.5], max_amplitude=0.0),
+        lambda: PilotSequence([2.0]),
+        lambda: RappParameters(gain=0.0),
+        lambda: build_design_matrix(allocate_pilots(3, 3), 0),
+        lambda: build_prediction_vector(0.5, 0),
+        lambda: rapp_response(RappParameters(), -1.0),
+        # prior
+        lambda: RappDistribution(gain_variance=-1.0),
+        lambda: PriorConfig(realizations=0),
+        lambda: PriorConfig(mode="partial"),
+        lambda: PriorConfig(fit_order=7, fit_grid=np.array([0.0, 0.5, 1.0])),
+        lambda: list(rapp_response_blocks(RappDistribution(), np.random.default_rng(0), 1, [-1.0])),
+        lambda: list(rapp_response_blocks(RappDistribution(), np.random.default_rng(0), 0, [1.0])),
+        lambda: prior_from_fits(np.ones((3, 2), dtype=complex), "partial"),
+        lambda: build_prior(PriorConfig(seed=-1), RappDistribution()),
+        # design
+        lambda: legendre_derivative_roots(0),
+        lambda: optimal_design(0, 1),
+        lambda: allocate_pilots(2, 2, phase_policy="alternating"),
+        lambda: uniform_pilots(0),
+        lambda: exchange_search_verify(2, 2, grid_resolution=10),
+        # experiments
+        lambda: run_fig3(realizations=0),
+        lambda: run_fig3(seed=-1),
     ]
     for call in calls:
         with pytest.raises(InvalidInputError) as info:
             call()
         assert isinstance(info.value, ValueError)
+
+
+def test_array_holding_values_compare_by_identity_and_hash():
+    phi = build_design_matrix(allocate_pilots(2, 2), 2)
+    factories = [
+        lambda: PriorStatistics(np.zeros(2), np.eye(2)),
+        lambda: ls_estimate(phi, np.ones(2), 1.0),
+        lambda: mse_curve(phi, [0.0, 1.0], 1.0),
+        lambda: _factor(phi),
+        lambda: PaPolynomial([1.0, 0.5]),
+        lambda: PilotSequence([0.5, 1.0]),
+        lambda: optimal_design(2, 2),
+        lambda: PriorConfig(),
+        lambda: CsvTable(("a",), [[1.0], [2.0]]),
+    ]
+    for make in factories:
+        first, second = make(), make()
+        assert first == first and first != second
+        assert len({first, second}) == 2
 
 
 def _sweep_prior(kind, order, rng):
