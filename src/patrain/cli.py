@@ -35,6 +35,10 @@ EXIT_TABLE = (
 # O(L^3) time, so an unbounded order could exhaust memory.
 MAX_ORDER = 1000
 
+# Largest array --realizations may ask for (fig3: M x G float responses, fig4:
+# M x L complex fits); their copies and temporaries take a few times as much.
+MAX_REALIZATION_BYTES = 1 << 28
+
 
 def _parse_snr_list(text: str):
     try:
@@ -144,6 +148,12 @@ def _check_order(order: int) -> None:
     _check(1 <= order <= MAX_ORDER, f"order must be between 1 and {MAX_ORDER}, got {order}")
 
 
+def _check_realizations(realizations: int, bytes_each: int) -> None:
+    size = realizations * bytes_each
+    message = f"{realizations} realizations would take {size} bytes; at most {MAX_REALIZATION_BYTES} are allowed"
+    _check(size <= MAX_REALIZATION_BYTES, message)
+
+
 def _emit(table: experiments.CsvTable, out_path) -> int:
     if out_path is None:
         sys.stdout.write(table.to_csv())
@@ -153,39 +163,31 @@ def _emit(table: experiments.CsvTable, out_path) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    _check_order(args.order)
     _check(args.sigma2 > 0, "sigma2 must be positive")
     return _emit(experiments.run_fig1(args.order, args.pilots, args.sigma2), args.out)
 
 
 def _cmd_fig2(args) -> int:
-    _check_order(args.order)
     return _emit(experiments.run_fig2(args.order), args.out)
 
 
 def _cmd_fig3(args) -> int:
-    _check_order(args.order)
-    table = experiments.run_fig3(args.realizations, args.order, args.seed, _fit_grid(args))
-    return _emit(table, args.out)
+    grid = _fit_grid(args)
+    _check_realizations(args.realizations, grid.nbytes)
+    return _emit(experiments.run_fig3(args.realizations, args.order, args.seed, grid), args.out)
 
 
 def _cmd_fig4(args) -> int:
-    _check_order(args.order)
     _check(len(args.snr_db_list) >= 1, "need at least one SNR point")
+    grid = _fit_grid(args)
+    _check_realizations(args.realizations, 16 * args.order)
     table = experiments.run_fig4(
-        args.order,
-        args.pilots,
-        args.snr_db_list,
-        args.snr_convention,
-        args.realizations,
-        args.seed,
-        _fit_grid(args),
+        args.order, args.pilots, args.snr_db_list, args.snr_convention, args.realizations, args.seed, grid
     )
     return _emit(table, args.out)
 
 
 def _cmd_design(args) -> int:
-    _check_order(args.order)
     _check(0 < args.max_amplitude < math.inf, "max amplitude must be positive and finite")
     table = experiments.design_table(
         args.order, args.pilots, args.max_amplitude, args.allocation
@@ -194,7 +196,6 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    _check_order(args.order)
     _check(args.sigma2 > 0, "sigma2 must be positive")
     _check(
         (args.prior_mean is None) == (args.prior_cov is None),
@@ -217,6 +218,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_order(args.order)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except (PatrainError, OSError, FloatingPointError) as exc:

@@ -81,28 +81,14 @@ def optimal_design(order: int, n_pilots: int) -> OptimalDesign:
     return OptimalDesign(order, optimal_support_points(order), n_pilots // order)
 
 
-def allocate_pilots(
-    order: int,
-    n_pilots: int,
-    max_amplitude: float = 1.0,
-    phase_policy: str = "zero",
-    seed: int | None = None,
-) -> PilotSequence:
+def allocate_pilots(order: int, n_pilots: int, max_amplitude: float = 1.0) -> PilotSequence:
     """Pilot sequence realizing the optimal design, scaled by ``max_amplitude``.
 
-    ``phase_policy`` is ``"zero"`` (default) or ``"random"`` for uniform phases
-    from ``seed``; phases never affect the estimation error covariances.
+    The phases are zero; they never affect the estimation error covariances.
     """
     design = optimal_design(order, n_pilots)
     amplitudes = np.repeat(design.support_points * max_amplitude, design.multiplicity)
-    if phase_policy == "zero":
-        symbols = amplitudes.astype(complex)
-    elif phase_policy == "random":
-        rng = np.random.default_rng(seed)
-        symbols = amplitudes * np.exp(2j * np.pi * rng.uniform(size=n_pilots))
-    else:
-        raise InvalidInputError(f"unknown phase policy: {phase_policy!r}")
-    return PilotSequence(symbols, max_amplitude)
+    return PilotSequence(amplitudes.astype(complex), max_amplitude)
 
 
 def uniform_pilots(n_pilots: int, max_amplitude: float = 1.0) -> PilotSequence:

@@ -5,7 +5,7 @@ class PatrainError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class RankDeficiencyError(PatrainError):
+class RankDeficiencyError(PatrainError, ValueError):
     """Design matrix is rank deficient or too ill conditioned to invert."""
 
 

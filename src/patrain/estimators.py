@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteInputError,
     RankDeficiencyError,
 )
-from .pa_model import CONDITION_LIMIT, PaPolynomial, PilotSequence, eval_polynomial
+from .pa_model import CONDITION_LIMIT, PaPolynomial, PilotSequence, basis_rows, eval_polynomial
 
 # Prior directions whose eigenvalue is at or below this fraction of the mean
 # prior eigenvalue are treated as known exactly and dropped from the whitening.
@@ -47,6 +47,13 @@ def _require_finite(values: np.ndarray, label: str) -> np.ndarray:
     values = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(values)):
         raise NonFiniteInputError(f"{label} holds NaN or infinite entries")
+    return values
+
+
+def _require_finite_result(values: np.ndarray, label: str) -> np.ndarray:
+    """``values`` unless a noise variance or amplitude too large for the design overflowed them."""
+    if not np.isfinite(values).all():
+        raise InvalidNoiseError(f"{label} overflows the float range")
     return values
 
 
@@ -169,10 +176,11 @@ class _Factor:
 
         It is ``sigma2 z z^H`` with ``z = rows @ root`` and the root ``T V / sv``.
         """
-        root = self.basis / self.singular_values(sigma2)
-        z = root if rows is None else rows @ root
-        cov = sigma2 * (z @ z.conj().T)
-        return 0.5 * (cov + cov.conj().T)
+        with np.errstate(all="ignore"):
+            root = self.basis / self.singular_values(sigma2)
+            z = root if rows is None else rows @ root
+            cov = sigma2 * (z @ z.conj().T)
+            return _require_finite_result(0.5 * (cov + cov.conj().T), "error covariance")
 
     def update(self, residual: np.ndarray, sigma2: float) -> np.ndarray:
         """``T V diag(s / sv^2) U^H residual``: the LS estimate, or the LMMSE step from the mean."""
@@ -186,12 +194,12 @@ class _Factor:
         ``MSE(a) = sum_i |f(a)^T T v_i|^2 sigma2 / sv_i^2`` with the monomial rows
         ``f(a) = (a, ..., a^L)``; every ``sigma2`` passes its own rank test.
         """
-        a = np.atleast_1d(np.asarray(amplitudes, dtype=float))
         weights = np.zeros((self.s.size, len(sigma2s)))
-        for j, sigma2 in enumerate(sigma2s):
-            weights[:, j] = sigma2 / self.singular_values(sigma2) ** 2
-        rows = a[:, None] ** np.arange(1, self.basis.shape[0] + 1)
-        return np.abs(rows @ self.basis) ** 2 @ weights
+        with np.errstate(all="ignore"):
+            rows = basis_rows(np.atleast_1d(np.asarray(amplitudes, dtype=float)), self.basis.shape[0])
+            for j, sigma2 in enumerate(sigma2s):
+                weights[:, j] = sigma2 / self.singular_values(sigma2) ** 2
+            return _require_finite_result(np.abs(rows @ self.basis) ** 2 @ weights, "prediction MSE")
 
 
 def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor:
@@ -212,6 +220,17 @@ def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor
     u, s, vh = np.linalg.svd(whitened, full_matrices=n < k)
     basis = vh.conj().T if prior is None else prior._whiten @ vh.conj().T
     return _Factor(u, np.concatenate([s, np.zeros(k - s.size)]), basis, prior is not None)
+
+
+def _monomial_factor(design: np.ndarray, prior: PriorStatistics | None) -> _Factor:
+    """The factor of ``design`` if its columns are ``s |s|^(l-1)`` of the first, within 1e-12
+    of its largest entry: the MSE functions build monomial prediction rows."""
+    factor = _factor(design, prior)
+    design = np.asarray(design, dtype=complex)
+    rows = basis_rows(design[:, 0], design.shape[1]) if design.shape[1] else design
+    if np.abs(design - rows).max(initial=0.0) > 1e-12 * np.abs(design).max(initial=0.0):
+        raise InvalidInputError("columns are not s|s|^(l-1) of the first; other bases need prediction_covariance")
+    return factor
 
 
 def _check_observations(design: np.ndarray, observations: np.ndarray) -> np.ndarray:
@@ -274,7 +293,7 @@ def prediction_mse(
     prior: PriorStatistics | None = None,
 ) -> float:
     """Prediction MSE at one input value; a function of ``abs(s_tilde)`` only."""
-    return float(_factor(design, prior).mse(abs(s_tilde), [sigma2])[0, 0])
+    return float(_monomial_factor(design, prior).mse(abs(s_tilde), [sigma2])[0, 0])
 
 
 def mse_curve(
@@ -289,7 +308,7 @@ def mse_curve(
         raise NonFiniteInputError("amplitudes hold NaN or infinite entries")
     if (amplitudes < 0).any():
         raise InvalidInputError("amplitudes must be nonnegative")
-    return MseCurve(amplitudes, _factor(design, prior).mse(amplitudes, [sigma2])[:, 0])
+    return MseCurve(amplitudes, _monomial_factor(design, prior).mse(amplitudes, [sigma2])[:, 0])
 
 
 def max_prediction_mse(
@@ -308,7 +327,7 @@ def max_prediction_mse(
     """
     if not 0 < max_amplitude < math.inf:
         raise InvalidInputError("max_amplitude must be positive and finite")
-    factor = _factor(design, prior)
+    factor = _monomial_factor(design, prior)
     cheb = np.polynomial.chebyshev
     half = 0.5 * max_amplitude
     order = factor.basis.shape[0]

@@ -16,7 +16,7 @@ from .estimators import (
     lmmse_estimate,
     mse_curve,
 )
-from .pa_model import PilotSequence, RappParameters, build_design_matrix, rapp_response
+from .pa_model import PilotSequence, RappParameters, basis_rows, build_design_matrix, rapp_response
 # build_prior and draw_rapp_params are not called here any more.  They stay
 # importable from this module because perfbench's tracer wraps them here.
 from .prior import (
@@ -24,7 +24,6 @@ from .prior import (
     NONCOHERENT,
     PriorConfig,
     RappDistribution,
-    _check_fit_grid,
     _seeded_rng,
     build_prior,
     default_fit_grid,
@@ -147,7 +146,7 @@ def run_fig3(
     nominal_params = RappParameters(dist.gain_mean, dist.v_sat_mean, dist.smoothness_mean)
     nominal = rapp_response(nominal_params, grid)
     fit_model = fit_polynomial_to_curve(nominal_params, order, grid)
-    fitted = (grid[:, None] ** np.arange(1, order + 1)) @ fit_model.coefficients.real
+    fitted = basis_rows(grid, order) @ fit_model.coefficients.real
     mean = responses.mean(axis=0)
     spread = 2.0 * responses.std(axis=0)
     rows = np.column_stack([grid, nominal, fitted, mean, mean - spread, mean + spread])
@@ -181,8 +180,6 @@ def run_fig4(
         "optimal": build_design_matrix(allocate_pilots(order, n_pilots), order),
     }
     grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
-    # A short grid is a rank error here, as in run_fig3, not PriorConfig's InvalidInputError.
-    _check_fit_grid(grid, order)
     dist = RappDistribution()
     # One set of fits serves both modes; each prior equals build_prior's for its mode.
     fits = fit_realizations(PriorConfig(realizations, order, grid, COHERENT, seed), dist)

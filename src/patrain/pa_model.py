@@ -90,19 +90,22 @@ def eval_polynomial(model: PaPolynomial, s):
     return complex(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
-def build_design_matrix(pilots: PilotSequence, order: int) -> np.ndarray:
-    """N x L complex matrix with entry (n, l) = s_n |s_n|^(l-1)."""
+def basis_rows(s, order: int) -> np.ndarray:
+    """Basis rows ``(s, s|s|, ..., s|s|^(order-1))``, one per entry of real or complex ``s``."""
     if order < 1:
         raise InvalidInputError("order must be >= 1")
-    s = pilots.symbols
-    return s[:, None] * np.abs(s)[:, None] ** np.arange(order)
+    s = np.asarray(s)[..., None]
+    return s * np.abs(s) ** np.arange(order)
+
+
+def build_design_matrix(pilots: PilotSequence, order: int) -> np.ndarray:
+    """N x L complex matrix with entry (n, l) = s_n |s_n|^(l-1)."""
+    return basis_rows(pilots.symbols, order)
 
 
 def build_prediction_vector(s_tilde: complex, order: int) -> np.ndarray:
     """Basis vector (s, s|s|, ..., s|s|^(L-1)) at a single input value."""
-    if order < 1:
-        raise InvalidInputError("order must be >= 1")
-    return np.asarray(s_tilde * abs(s_tilde) ** np.arange(order), dtype=complex)
+    return basis_rows(np.asarray(s_tilde, dtype=complex), order)
 
 
 def _check_basis(transform: np.ndarray, order: int) -> np.ndarray:

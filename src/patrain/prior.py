@@ -1,11 +1,12 @@
 """Monte-Carlo construction of the LMMSE coefficient prior from random Rapp amplifiers.
 
 Each realization draws Rapp parameters, evaluates the amplifier on a fixed
-amplitude grid and fits an order-L polynomial by least squares.  Realizations
-are processed in blocks of array operations that reproduce the sequential
-draws of :func:`draw_rapp_params` exactly.  The sample mean and covariance of
-the fitted coefficient vectors form the prior, either with the channel phase
-compensated (coherent) or averaged out (noncoherent).
+amplitude grid and fits an order-L polynomial by least squares, as a product
+with the pseudo-inverse of the grid's basis rows, the same for every
+realization.  Realizations are processed in blocks of array operations that
+reproduce the sequential draws of :func:`draw_rapp_params` exactly.  The sample
+mean and covariance of the fitted coefficient vectors form the prior, either
+with the channel phase compensated (coherent) or averaged out (noncoherent).
 """
 
 import csv
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import CsvFormatError, InvalidInputError, RankDeficiencyError
 from .estimators import PriorStatistics
-from .pa_model import PaPolynomial, RappParameters, rapp_am_am, rapp_response
+from .pa_model import PaPolynomial, RappParameters, basis_rows, rapp_am_am, rapp_response
 
 COHERENT = "coherent"
 NONCOHERENT = "noncoherent"
@@ -68,8 +69,7 @@ class PriorConfig:
         if self.mode not in (COHERENT, NONCOHERENT):
             raise InvalidInputError(f"unknown prior mode: {self.mode!r}")
         grid = np.asarray(self.fit_grid, dtype=float)
-        if np.unique(grid[grid > 0]).size < self.fit_order:
-            raise InvalidInputError("fit grid needs at least fit_order distinct positive points")
+        _check_fit_grid(grid, self.fit_order)
         object.__setattr__(self, "fit_grid", grid)
 
 
@@ -132,18 +132,18 @@ def _check_fit_grid(grid: np.ndarray, order: int) -> None:
         raise RankDeficiencyError("fit grid needs at least order distinct positive points")
 
 
-def _fit_basis(grid: np.ndarray, order: int) -> np.ndarray:
-    """The ``G x order`` monomial basis ``grid**1 .. grid**order``."""
+def _fit_projector(grid: np.ndarray, order: int) -> np.ndarray:
+    """``G x order`` matrix ``P`` whose ``responses @ P`` fits each response row on ``grid``
+    by least squares: the transposed pseudo-inverse of the grid's basis rows, with
+    numpy's least-squares default cutoff ``max(G, order) eps``."""
     _check_fit_grid(grid, order)
-    return grid[:, None] ** np.arange(1, order + 1)
+    return np.linalg.pinv(basis_rows(grid, order), rcond=max(grid.size, order) * np.finfo(float).eps).T
 
 
 def fit_polynomial_to_curve(params: RappParameters, order: int, grid: np.ndarray) -> PaPolynomial:
     """Least-squares polynomial fit to the Rapp response sampled on ``grid``."""
     grid = np.asarray(grid, dtype=float)
-    basis = _fit_basis(grid, order)
-    coefficients, *_ = np.linalg.lstsq(basis, rapp_response(params, grid), rcond=None)
-    return PaPolynomial(coefficients.astype(complex))
+    return PaPolynomial(rapp_response(params, grid) @ _fit_projector(grid, order))
 
 
 def fit_realizations(config: PriorConfig, dist: RappDistribution) -> np.ndarray:
@@ -151,21 +151,12 @@ def fit_realizations(config: PriorConfig, dist: RappDistribution) -> np.ndarray:
     Rapp draws; ``config.mode`` is not used.
 
     Row ``m`` fits the ``m``-th amplifier that sequential
-    :func:`draw_rapp_params` calls would draw.  Each block of responses is
-    fitted by one least-squares solve, which agrees with a
-    :func:`fit_polynomial_to_curve` call to a few ulps.
+    :func:`draw_rapp_params` calls would draw, with the projector that
+    :func:`fit_polynomial_to_curve` applies to one response.
     """
-    basis = _fit_basis(config.fit_grid, config.fit_order)
-    rng = _seeded_rng(config.seed)
-    # Filled in place to stay C-ordered: on an F-ordered array the moment sums
-    # in prior_from_fits round differently.
-    coefficients = np.empty((config.realizations, config.fit_order), dtype=complex)
-    start = 0
-    for responses in rapp_response_blocks(dist, rng, config.realizations, config.fit_grid):
-        stop = start + len(responses)
-        coefficients[start:stop] = np.linalg.lstsq(basis, responses.T, rcond=None)[0].T
-        start = stop
-    return coefficients
+    projector = _fit_projector(config.fit_grid, config.fit_order)
+    blocks = rapp_response_blocks(dist, _seeded_rng(config.seed), config.realizations, config.fit_grid)
+    return np.concatenate([block @ projector for block in blocks]).astype(complex)
 
 
 def prior_from_fits(coefficients: np.ndarray, mode: str) -> PriorStatistics:

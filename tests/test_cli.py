@@ -215,6 +215,25 @@ def test_oversized_fit_grid_is_usage_error(command, monkeypatch, capsys):
     assert "fit grid" in capsys.readouterr().err
 
 
+# Realization counts that fill the byte budget exactly: fig3 keeps 25 float
+# responses per realization on the default grid, fig4 7 complex fits.
+_REALIZATION_CAPS = {"fig3": cli.MAX_REALIZATION_BYTES // (8 * 25), "fig4": cli.MAX_REALIZATION_BYTES // (16 * 7)}
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4"])
+def test_oversized_realization_count_is_usage_error(command, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("nothing may be drawn past the realization cap")
+
+    monkeypatch.setattr(cli.experiments, f"run_{command}", refuse)
+    cap = _REALIZATION_CAPS[command]
+    assert cli.main([command, "--realizations", str(cap + 1)]) == 2
+    assert "realizations" in capsys.readouterr().err
+    # The cap itself passes; the run is stubbed, so nothing is drawn.
+    monkeypatch.setattr(cli.experiments, f"run_{command}", lambda *args: cli.experiments.CsvTable(("x",), [[0.0]]))
+    assert cli.main([command, "--realizations", str(cap)]) == 0
+
+
 def _write_estimate_inputs(tmp_path):
     paths = {name: tmp_path / f"{name}.csv" for name in ("pilots", "obs", "mean", "cov")}
     paths["pilots"].write_text("index,amp,phase\n0,0.5,0\n1,1,0\n")
@@ -383,12 +402,13 @@ def test_float_overflow_is_numerical_error(command, capsys):
 # Flag values for the CLI fuzz as (in-domain, edge) lists.  The edge values are
 # the ends of each domain and values just past the caps.  Accepted sizes stay
 # at order <= 12, pilots <= 24 and realizations <= 20, since the realization
-# count has no cap of its own.
+# cap still admits runs far too long for a test.
 _EDGE_FLOATS = ["0", "-1", "nan", "inf", "-inf", "1e309", "1e-320", "1e300"]
 _FUZZ_VALUES = {
     "--order": (["1", "2", "4", "12"], ["-1", "0", str(cli.MAX_ORDER + 1), "nan"]),
     "--pilots": (["12", "24"], ["-1", "0", "5", "inf"]),
-    "--realizations": (["1", "20"], ["-1", "0", "nan"]),
+    # The last edge value is one past the byte cap for every grid and order.
+    "--realizations": (["1", "20"], ["-1", "0", "nan", str(cli.MAX_REALIZATION_BYTES // 8 + 1)]),
     "--seed": (["0", "7"], ["-1", "x"]),
     "--sigma2": (["1e-3", "1"], _EDGE_FLOATS),
     "--max-amplitude": (["1", "2.5"], _EDGE_FLOATS),

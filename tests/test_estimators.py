@@ -20,6 +20,7 @@ from patrain import (
     allocate_pilots,
     build_design_matrix,
     build_prediction_vector,
+    change_basis,
     exchange_search_verify,
     generate_noisy_observations,
     legendre_derivative_roots,
@@ -363,6 +364,35 @@ def test_max_prediction_mse_rejects_invalid_amplitude_cap(cap):
         max_prediction_mse(phi, 1.0, max_amplitude=cap)
 
 
+def test_mse_functions_reject_a_design_in_another_basis():
+    # Read with monomial rows, this basis-changed optimal design gave a maximum
+    # MSE of 231.68 instead of sigma2 L / N = 1.
+    transform = np.triu(np.ones((4, 4)))
+    phi = build_design_matrix(allocate_pilots(4, 4), 4)
+    psi = change_basis(phi, transform)
+    for call in (
+        lambda: max_prediction_mse(psi, 1.0),
+        lambda: mse_curve(psi, [0.0, 0.5, 1.0], 1.0),
+        lambda: prediction_mse(psi, 0.5, 1.0),
+    ):
+        with pytest.raises(InvalidInputError, match="prediction_covariance"):
+            call()
+    # Rows in the design's own basis give the same MSE through prediction_covariance.
+    rows = build_design_matrix(PilotSequence(np.linspace(0.0, 1.0, 11)), 4)
+    covariance = prediction_covariance(psi, change_basis(rows, transform), 1.0)
+    assert_allclose(np.diag(covariance).real, mse_curve(phi, np.linspace(0.0, 1.0, 11), 1.0).mse_values, rtol=1e-10)
+    assert max_prediction_mse(phi, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_mse_and_covariance_beyond_the_float_range_raise_noise_errors():
+    # These used to come back as inf and nan, with only a RuntimeWarning.
+    phi = build_design_matrix(uniform_pilots(24), 12)
+    with pytest.raises(InvalidNoiseError, match="overflow"):
+        mse_curve(phi, np.linspace(0, 1, 501), 1e300)
+    with pytest.raises(InvalidNoiseError, match="overflow"):
+        ls_estimate(phi, np.zeros(24), 1e300)
+
+
 def _grid_maxima(phi, sigma2, prior=None, max_amplitude=1.0, points=100_001):
     """Maximum of the MSE on a dense grid, and that maximum refined by a second
     grid of as many points across the two cells around the grid's best point.
@@ -561,7 +591,6 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         lambda: RappDistribution(gain_variance=-1.0),
         lambda: PriorConfig(realizations=0),
         lambda: PriorConfig(mode="partial"),
-        lambda: PriorConfig(fit_order=7, fit_grid=np.array([0.0, 0.5, 1.0])),
         lambda: list(rapp_response_blocks(RappDistribution(), np.random.default_rng(0), 1, [-1.0])),
         lambda: list(rapp_response_blocks(RappDistribution(), np.random.default_rng(0), 0, [1.0])),
         lambda: prior_from_fits(np.ones((3, 2), dtype=complex), "partial"),
@@ -569,7 +598,6 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         # design
         lambda: legendre_derivative_roots(0),
         lambda: optimal_design(0, 1),
-        lambda: allocate_pilots(2, 2, phase_policy="alternating"),
         lambda: uniform_pilots(0),
         lambda: exchange_search_verify(2, 2, grid_resolution=10),
         # experiments
@@ -580,6 +608,10 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         with pytest.raises(InvalidInputError) as info:
             call()
         assert isinstance(info.value, ValueError)
+    # Too few distinct grid points is a rank error, wherever it is found.
+    with pytest.raises(RankDeficiencyError) as info:
+        PriorConfig(fit_order=7, fit_grid=np.array([0.0, 0.5, 1.0]))
+    assert isinstance(info.value, ValueError)
 
 
 def test_array_holding_values_compare_by_identity_and_hash():

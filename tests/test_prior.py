@@ -206,6 +206,40 @@ def test_prior_matches_reference_fit_loop(mode):
     assert np.abs(prior.mean - mean).max() <= 1e-12 * np.abs(fits).max()
 
 
+@pytest.mark.parametrize("grid", [default_fit_grid(), default_fit_grid(1.0, 0.1)], ids=["default", "coarse"])
+@pytest.mark.parametrize("order", range(2, 11))
+def test_fits_match_a_per_row_lstsq_reference(grid, order):
+    config = PriorConfig(40, order, grid, seed=5)
+    fits = prior_module.fit_realizations(config, RappDistribution())
+    basis = grid[:, None] ** np.arange(1, order + 1)
+    rng = np.random.default_rng(config.seed)
+    reference = np.array(
+        [
+            np.linalg.lstsq(basis, rapp_response(draw_rapp_params(RappDistribution(), rng), grid), rcond=None)[0]
+            for _ in range(config.realizations)
+        ]
+    )
+    # Two backward-stable solutions of one small-residual problem differ by
+    # about cond(basis) eps relative; the bound allows ten times that.
+    tolerance = 10 * np.linalg.cond(basis) * np.finfo(float).eps
+    assert np.abs(fits - reference).max() <= tolerance * np.abs(reference).max()
+
+
+def test_fit_polynomial_to_curve_matches_its_fit_realizations_row():
+    config = PriorConfig(prior_module.FIT_BLOCK + 3, 7, seed=6)
+    fits = prior_module.fit_realizations(config, RappDistribution())
+    projector = prior_module._fit_projector(config.fit_grid, 7)
+    rng = np.random.default_rng(config.seed)
+    for row in fits:
+        params = draw_rapp_params(RappDistribution(), rng)
+        single = fit_polynomial_to_curve(params, 7, config.fit_grid).coefficients
+        # The same projector serves both, so only the summation order of the
+        # products may differ: within 2 G eps |response| |P| per coefficient.
+        response = rapp_response(params, config.fit_grid)
+        bound = 2 * config.fit_grid.size * np.finfo(float).eps * (np.abs(response) @ np.abs(projector))
+        assert np.all(np.abs(single - row) <= bound)
+
+
 def test_fig4_priors_come_from_one_fit_and_equal_build_prior(monkeypatch):
     fit_calls, priors = [], {}
 
