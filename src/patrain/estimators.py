@@ -292,8 +292,8 @@ def prediction_mse(
     sigma2: float,
     prior: PriorStatistics | None = None,
 ) -> float:
-    """Prediction MSE at one input value; a function of ``abs(s_tilde)`` only."""
-    return float(_monomial_factor(design, prior).mse(abs(s_tilde), [sigma2])[0, 0])
+    """Prediction MSE at one finite input value; a function of ``abs(s_tilde)`` only."""
+    return float(mse_curve(design, [abs(s_tilde)], sigma2, prior).mse_values[0])
 
 
 def mse_curve(
@@ -311,6 +311,26 @@ def mse_curve(
     return MseCurve(amplitudes, _monomial_factor(design, prior).mse(amplitudes, [sigma2])[:, 0])
 
 
+def _derivative_coefficients(func, degree: int) -> np.ndarray:
+    """Chebyshev coefficients of the derivative of ``func``'s degree-``degree`` interpolant on ``[-1, 1]``.
+
+    ``func`` is called once, on the ``n = degree + 1`` first-kind nodes
+    ``x_j = cos(theta_j)``, ``theta_j = pi (j + 1/2) / n``.  The interpolant has
+    the cosine sums ``c_k = (2/n) sum_j cos(k theta_j) v_j``, with ``c_0``
+    halved, and its derivative ``d_i = sum_{j > i, j - i odd} 2 j c_j``, with
+    ``d_0`` halved (Mason & Handscomb, *Chebyshev Polynomials*, 2003, §2.4).
+    Both maps are folded into one ``(n - 1, n)`` matrix applied to the values.
+    """
+    k = np.arange(degree + 1)
+    theta = np.pi * (k + 0.5) / k.size
+    cosines = np.cos(np.outer(k, theta)) * (2.0 / k.size)
+    cosines[0] *= 0.5
+    gap = k - k[:-1, None]
+    derivative = np.where((gap > 0) & (gap % 2 == 1), 2.0 * k, 0.0)
+    derivative[0] *= 0.5
+    return (derivative @ cosines) @ func(np.cos(theta))
+
+
 def max_prediction_mse(
     design: np.ndarray,
     sigma2: float,
@@ -320,19 +340,20 @@ def max_prediction_mse(
     """Maximal prediction MSE over the amplitude range ``[0, max_amplitude]``.
 
     The MSE is a real polynomial of degree ``2L`` in the amplitude, so its
-    ``2L + 1``-point Chebyshev interpolant on the range is exact.  The maximum
-    is taken over both endpoints and the real parts of the roots of the
-    interpolant's derivative, the eigenvalues of its colleague matrix (Boyd,
-    2002), clipped to the range; every candidate is evaluated by the MSE itself.
+    values at the ``2L + 1`` first-kind Chebyshev nodes of the range fix it
+    exactly.  One product with a matrix of cosines takes those values to the
+    Chebyshev coefficients of its derivative (:func:`_derivative_coefficients`).
+    The maximum is taken over both endpoints and the real parts of the roots of
+    that derivative, the eigenvalues of its colleague matrix (Boyd, 2002),
+    clipped to the range; every candidate is evaluated by the MSE itself.
     """
     if not 0 < max_amplitude < math.inf:
         raise InvalidInputError("max_amplitude must be positive and finite")
     factor = _monomial_factor(design, prior)
-    cheb = np.polynomial.chebyshev
     half = 0.5 * max_amplitude
     order = factor.basis.shape[0]
-    coef = cheb.chebinterpolate(lambda x: factor.mse(half * (x + 1.0), [sigma2])[:, 0], 2 * order)
-    critical = np.clip(cheb.chebroots(cheb.chebder(coef)).real, -1.0, 1.0)
+    slope = _derivative_coefficients(lambda x: factor.mse(half * (x + 1.0), [sigma2])[:, 0], 2 * order)
+    critical = np.clip(np.polynomial.chebyshev.chebroots(slope).real, -1.0, 1.0)
     return float(factor.mse(half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0), [sigma2]).max())
 
 

@@ -9,6 +9,8 @@ mean and covariance of the fitted coefficient vectors form the prior, either
 with the channel phase compensated (coherent) or averaged out (noncoherent).
 """
 
+from __future__ import annotations
+
 import csv
 from dataclasses import dataclass, field
 

@@ -291,8 +291,11 @@ def test_fig4_snr_outside_float_range_is_numerical_error(snr_list, capsys):
     assert "noise variance" in capsys.readouterr().err
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, patrain; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy", "numpy.random", "numpy.polynomial"])
+def test_import_does_not_load(module):
+    # numpy.random and numpy.polynomial load on first use, not on import;
+    # scipy is not a dependency at all.
+    code = f"import sys, patrain.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -34,7 +34,7 @@ from patrain import (
     rapp_response,
     uniform_pilots,
 )
-from patrain.estimators import _factor
+from patrain.estimators import _derivative_coefficients, _factor
 from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig3, snr_db_to_sigma2
 from patrain.prior import (
     PriorConfig,
@@ -480,6 +480,48 @@ def test_max_prediction_mse_bounds_every_sampled_value(problem):
     assert value >= on_grid.max() * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("order", range(1, 41))
+def test_derivative_coefficients_match_numpy_interpolate_and_differentiate(order):
+    cheb = np.polynomial.chebyshev
+    series = np.random.default_rng(order).normal(size=2 * order + 1)
+    func = lambda x: cheb.chebval(x, series)
+    reference = cheb.chebder(cheb.chebinterpolate(func, 2 * order))
+    got = _derivative_coefficients(func, 2 * order)
+    assert got.shape == reference.shape
+    assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def _interpolate_differentiate_max(phi, sigma2, prior, cap):
+    """The maximum MSE through numpy's chebinterpolate and chebder, then chebroots."""
+    cheb = np.polynomial.chebyshev
+    factor, half = _factor(phi, prior), 0.5 * cap
+    coef = cheb.chebinterpolate(lambda x: factor.mse(half * (x + 1.0), [sigma2])[:, 0], 2 * phi.shape[1])
+    critical = np.clip(cheb.chebroots(cheb.chebder(coef)).real, -1.0, 1.0)
+    return factor.mse(half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0), [sigma2]).max()
+
+
+def _equivalence_cases(order):
+    """(design, sigma2, prior, cap) over pilots, N, prior rank, sigma2 and the amplitude range."""
+    rng = np.random.default_rng(order)
+    full_rank = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
+    draws = rng.normal(size=(order - 1, order)) + 1j * rng.normal(size=(order - 1, order))
+    low_rank = PriorStatistics(draws.mean(axis=0), draws.T @ draws.conj() / (order - 1))
+    for cap in (1.0, 2.5):
+        for n_pilots in (order, 2 * order):
+            for pilots in (allocate_pilots(order, n_pilots, max_amplitude=cap), uniform_pilots(n_pilots, cap)):
+                phi = build_design_matrix(pilots, order)
+                for prior in (None, full_rank, low_rank):
+                    for sigma2 in (1e-3, 0.1, 1.0):
+                        yield phi, sigma2, prior, cap
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_max_prediction_mse_matches_interpolate_and_differentiate(order):
+    for phi, sigma2, prior, cap in _equivalence_cases(order):
+        reference = _interpolate_differentiate_max(phi, sigma2, prior, cap)
+        assert max_prediction_mse(phi, sigma2, prior, cap) == pytest.approx(reference, rel=1e-10)
+
+
 def test_psd_ordering_ls_versus_lmmse():
     rng = np.random.default_rng(47)
     for _ in range(50):
@@ -558,6 +600,7 @@ def test_estimators_reject_nonfinite_inputs(bad):
         lambda: ls_estimate(phi, broken_observations, 1.0),
         lambda: lmmse_estimate(broken_phi, observations, 1.0, prior),
         lambda: lmmse_estimate(phi, broken_observations, 1.0, prior),
+        lambda: prediction_mse(phi, bad, 1.0),
     ]
     for call in calls:
         with pytest.raises(NonFiniteInputError):
