@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, PilotAllocationError, RankDeficiencyError
-from .estimators import _factor
+from .estimators import _factor, _seeded_rng
 from .pa_model import PilotSequence, build_design_matrix
 
 # Exchange search: a sweep that moves no pilot ends it.  A move must raise the
@@ -133,19 +133,22 @@ def exchange_search_verify(
     ``d(x, y) = f(x)^T M^-1 f(y)``, replacing pilot ``x_j`` by ``x`` scales the
     determinant by ``(1 + d(x))(1 - d(x_j)) + d(x, x_j)^2`` (Fedorov, 1972);
     all candidates are scored from one solve against the triangular factor of
-    the current pilots' basis rows.  A move counts only
-    if it raises the determinant by more than ``EXCHANGE_MIN_GAIN`` relative.
-    At the optimum the Kiefer-Wolfowitz bound ``max_t d(t) = L / N`` holds up
-    to the grid spacing, which ``max_prediction_mse`` of the result shows.
+    the current pilots' basis rows.  That factor and solve are taken again only
+    after a move, since a step that moves no pilot leaves them unchanged.  A
+    move counts only if it raises the determinant by more than
+    ``EXCHANGE_MIN_GAIN`` relative.  At the optimum the Kiefer-Wolfowitz bound
+    ``max_t d(t) = L / N`` holds up to the grid spacing, which
+    ``max_prediction_mse`` of the result shows.
 
-    Raises :class:`RankDeficiencyError` when the start design is singular and
+    Raises :class:`InvalidInputError` for a negative ``seed``,
+    :class:`RankDeficiencyError` when the start design is singular and
     :class:`ConvergenceError` when ``EXCHANGE_MAX_SWEEPS`` sweeps all moved a
     pilot.
     """
     if grid_resolution < 100:
         raise InvalidInputError("grid_resolution must be >= 100")
     optimal_design(order, n_pilots)  # validates the multiplicity up front
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     grid = np.linspace(0.0, 1.0, grid_resolution + 1)
     basis = grid[:, None] * np.polynomial.legendre.legvander(2.0 * grid - 1.0, order - 1)
     index = np.rint(np.arange(1, n_pilots + 1) / n_pilots * grid_resolution).astype(int)
@@ -154,19 +157,22 @@ def exchange_search_verify(
         raise RankDeficiencyError(
             f"exchange start on {grid_resolution + 1} grid points is singular at order {order}"
         )
+    z = None
     for _ in range(EXCHANGE_MAX_SWEEPS):
         moved = False
         for j in rng.permutation(n_pilots):
-            r = np.linalg.qr(basis[index], mode="r")
-            # Column x of z is R^-T f(x), so d(x, y) = z[:, x] . z[:, y].
-            z = np.linalg.solve(r.T, basis.T)
-            d = np.einsum("ij,ij->j", z, z)
+            if z is None:
+                r = np.linalg.qr(basis[index], mode="r")
+                # Column x of z is R^-T f(x), so d(x, y) = z[:, x] . z[:, y].
+                z = np.linalg.solve(r.T, basis.T)
+                d = np.einsum("ij,ij->j", z, z)
             d_cross = z[:, index[j]] @ z
             ratio = (1.0 + d) * (1.0 - d[index[j]]) + d_cross**2
             choice = int(np.argmax(ratio))
             if choice != index[j] and ratio[choice] > 1.0 + EXCHANGE_MIN_GAIN:
                 index[j] = choice
                 moved = True
+                z = None
         if not moved:
             break
     else:

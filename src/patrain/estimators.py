@@ -7,8 +7,14 @@ forms ``C^-1``.  The factor holds no noise variance: for each ``sigma2`` the
 factored system has the singular values ``sqrt(s^2 + rho sigma2)`` (``rho`` 0
 for LS, 1 for LMMSE), so estimates, covariances, prediction MSE and the
 D-criterion all follow in closed form, and one factor serves a whole SNR sweep.
+
+The exact maximum prediction MSE is a root-finding problem on the factor: the
+MSE is a polynomial of degree ``2L`` in the amplitude, fixed by its values at
+``2L + 1`` Chebyshev nodes, and one product with a constant matrix, built once
+per degree, takes those values to the coefficients of its derivative.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -57,6 +63,17 @@ def _require_finite_result(values: np.ndarray, label: str) -> np.ndarray:
     return values
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+
+
+def _seeded_rng(seed: int) -> "np.random.Generator":
+    """The random stream of ``seed``; a negative seed raises :class:`InvalidInputError`."""
+    _require_seed(seed)
+    return np.random.default_rng(seed)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Circularly symmetric complex noise: total variance ``variance`` per sample."""
@@ -66,6 +83,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         _require_noise_variance(self.variance)
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,18 +206,47 @@ class _Factor:
         m = self.u.shape[1]
         return self.basis[:, :m] @ (self.s[:m] / sv[:m] ** 2 * (self.u.conj().T @ residual))
 
-    def mse(self, amplitudes, sigma2s) -> np.ndarray:
-        """Prediction MSE at real nonnegative amplitudes (rows) for each noise variance (columns).
-
-        ``MSE(a) = sum_i |f(a)^T T v_i|^2 sigma2 / sv_i^2`` with the monomial rows
-        ``f(a) = (a, ..., a^L)``; every ``sigma2`` passes its own rank test.
-        """
+    def weights(self, sigma2s) -> np.ndarray:
+        """``sigma2 / sv^2`` per direction (rows) and noise variance (columns);
+        every ``sigma2`` passes its own noise check and rank test."""
         weights = np.zeros((self.s.size, len(sigma2s)))
         with np.errstate(all="ignore"):
-            rows = basis_rows(np.atleast_1d(np.asarray(amplitudes, dtype=float)), self.basis.shape[0])
             for j, sigma2 in enumerate(sigma2s):
                 weights[:, j] = sigma2 / self.singular_values(sigma2) ** 2
+        return weights
+
+    def weighted_mse(self, amplitudes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``MSE(a) = sum_i |f(a)^T T v_i|^2 w_i`` with the monomial rows ``f(a) = (a, ..., a^L)``."""
+        with np.errstate(all="ignore"):
+            rows = basis_rows(amplitudes, self.basis.shape[0])
             return _require_finite_result(np.abs(rows @ self.basis) ** 2 @ weights, "prediction MSE")
+
+    def mse(self, amplitudes, sigma2s) -> np.ndarray:
+        """Prediction MSE at real nonnegative amplitudes (rows) for each noise variance (columns)."""
+        weights = self.weights(sigma2s)
+        return self.weighted_mse(np.atleast_1d(np.asarray(amplitudes, dtype=float)), weights)
+
+    def max_mse(self, max_amplitude: float, sigma2s) -> tuple[np.ndarray, np.ndarray]:
+        """Maximal prediction MSE over ``[0, max_amplitude]`` for each noise variance,
+        and the amplitude where each maximum sits.
+
+        The node values of every ``sigma2`` come from one product and go to the
+        derivative coefficients in one more (:func:`_derivative_map`); each
+        column then takes its own ``chebroots``, and the endpoints and the
+        clipped roots are scored with the weights already taken.
+        """
+        weights = self.weights(sigma2s)
+        nodes, slope_map = _derivative_map(2 * self.basis.shape[0])
+        half = 0.5 * max_amplitude
+        slopes = slope_map @ self.weighted_mse(half * (nodes + 1.0), weights)
+        maxima, amplitudes = np.empty(weights.shape[1]), np.empty(weights.shape[1])
+        for j in range(weights.shape[1]):
+            critical = np.clip(np.polynomial.chebyshev.chebroots(slopes[:, j]).real, -1.0, 1.0)
+            candidates = half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0)
+            values = self.weighted_mse(candidates, weights[:, j : j + 1])[:, 0]
+            best = int(np.argmax(values))
+            maxima[j], amplitudes[j] = values[best], candidates[best]
+        return maxima, amplitudes
 
 
 def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor:
@@ -311,15 +358,19 @@ def mse_curve(
     return MseCurve(amplitudes, _monomial_factor(design, prior).mse(amplitudes, [sigma2])[:, 0])
 
 
-def _derivative_coefficients(func, degree: int) -> np.ndarray:
-    """Chebyshev coefficients of the derivative of ``func``'s degree-``degree`` interpolant on ``[-1, 1]``.
+@functools.lru_cache(maxsize=16)
+def _derivative_map(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev nodes on ``[-1, 1]`` and the matrix taking values there to the
+    Chebyshev coefficients of the derivative of the degree-``degree`` interpolant.
 
-    ``func`` is called once, on the ``n = degree + 1`` first-kind nodes
-    ``x_j = cos(theta_j)``, ``theta_j = pi (j + 1/2) / n``.  The interpolant has
-    the cosine sums ``c_k = (2/n) sum_j cos(k theta_j) v_j``, with ``c_0``
-    halved, and its derivative ``d_i = sum_{j > i, j - i odd} 2 j c_j``, with
-    ``d_0`` halved (Mason & Handscomb, *Chebyshev Polynomials*, 2003, §2.4).
-    Both maps are folded into one ``(n - 1, n)`` matrix applied to the values.
+    The ``n = degree + 1`` first-kind nodes are ``x_j = cos(theta_j)``,
+    ``theta_j = pi (j + 1/2) / n``.  The interpolant of values ``v_j`` has the
+    cosine sums ``c_k = (2/n) sum_j cos(k theta_j) v_j``, with ``c_0`` halved,
+    and its derivative ``d_i = sum_{j > i, j - i odd} 2 j c_j``, with ``d_0``
+    halved (Mason & Handscomb, *Chebyshev Polynomials*, 2003, §2.4).  Both maps
+    are folded into one ``(n - 1, n)`` matrix.  The arrays depend on the degree
+    only and are read-only, since every caller shares them; the cache is
+    bounded, as each entry holds ``degree (degree + 1)`` floats.
     """
     k = np.arange(degree + 1)
     theta = np.pi * (k + 0.5) / k.size
@@ -328,33 +379,39 @@ def _derivative_coefficients(func, degree: int) -> np.ndarray:
     gap = k - k[:-1, None]
     derivative = np.where((gap > 0) & (gap % 2 == 1), 2.0 * k, 0.0)
     derivative[0] *= 0.5
-    return (derivative @ cosines) @ func(np.cos(theta))
+    nodes, slope_map = np.cos(theta), derivative @ cosines
+    nodes.flags.writeable = slope_map.flags.writeable = False
+    return nodes, slope_map
 
 
 def max_prediction_mse(
     design: np.ndarray,
-    sigma2: float,
+    sigma2: float | np.ndarray,
     prior: PriorStatistics | None = None,
     max_amplitude: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """Maximal prediction MSE over the amplitude range ``[0, max_amplitude]``.
+
+    ``sigma2`` is one noise variance, which returns a ``float``, or a 1-D
+    array of them, which returns an array of the same length from one factor
+    of the design.
 
     The MSE is a real polynomial of degree ``2L`` in the amplitude, so its
     values at the ``2L + 1`` first-kind Chebyshev nodes of the range fix it
-    exactly.  One product with a matrix of cosines takes those values to the
-    Chebyshev coefficients of its derivative (:func:`_derivative_coefficients`).
-    The maximum is taken over both endpoints and the real parts of the roots of
-    that derivative, the eigenvalues of its colleague matrix (Boyd, 2002),
-    clipped to the range; every candidate is evaluated by the MSE itself.
+    exactly.  One product with a matrix of cosines, built once per degree
+    (:func:`_derivative_map`), takes the node values of every ``sigma2`` to the
+    Chebyshev coefficients of their derivatives.  The maximum is taken over
+    both endpoints and the real parts of the roots of that derivative, the
+    eigenvalues of its colleague matrix (Boyd, 2002), clipped to the range;
+    every candidate is evaluated by the MSE itself.
     """
     if not 0 < max_amplitude < math.inf:
         raise InvalidInputError("max_amplitude must be positive and finite")
-    factor = _monomial_factor(design, prior)
-    half = 0.5 * max_amplitude
-    order = factor.basis.shape[0]
-    slope = _derivative_coefficients(lambda x: factor.mse(half * (x + 1.0), [sigma2])[:, 0], 2 * order)
-    critical = np.clip(np.polynomial.chebyshev.chebroots(slope).real, -1.0, 1.0)
-    return float(factor.mse(half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0), [sigma2]).max())
+    sigma2s = np.asarray(sigma2, dtype=float)
+    if sigma2s.ndim > 1 or sigma2s.size == 0:
+        raise DimensionMismatchError("sigma2 must be a number or a nonempty 1-D array")
+    maxima, _ = _monomial_factor(design, prior).max_mse(max_amplitude, np.atleast_1d(sigma2s).tolist())
+    return float(maxima[0]) if sigma2s.ndim == 0 else maxima
 
 
 def generate_noisy_observations(
@@ -365,6 +422,6 @@ def generate_noisy_observations(
     The total noise variance is ``noise.variance``; real and imaginary parts are
     independent draws with variance ``noise.variance / 2`` each.
     """
-    rng = np.random.default_rng(noise.seed)
+    rng = _seeded_rng(noise.seed)
     draws = rng.normal(0.0, np.sqrt(noise.variance / 2.0), size=(len(pilots), 2))
     return eval_polynomial(model, pilots.symbols) + draws[:, 0] + 1j * draws[:, 1]

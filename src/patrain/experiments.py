@@ -12,6 +12,7 @@ from .estimators import (
     PriorStatistics,
     _factor,
     _require_noise_variance,
+    _seeded_rng,
     ls_estimate,
     lmmse_estimate,
     mse_curve,
@@ -24,7 +25,6 @@ from .prior import (
     NONCOHERENT,
     PriorConfig,
     RappDistribution,
-    _seeded_rng,
     build_prior,
     default_fit_grid,
     draw_rapp_params,

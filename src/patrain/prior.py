@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CsvFormatError, InvalidInputError, RankDeficiencyError
-from .estimators import PriorStatistics
+from .estimators import PriorStatistics, _seeded_rng
 from .pa_model import PaPolynomial, RappParameters, basis_rows, rapp_am_am, rapp_response
 
 COHERENT = "coherent"
@@ -73,13 +73,6 @@ class PriorConfig:
         grid = np.asarray(self.fit_grid, dtype=float)
         _check_fit_grid(grid, self.fit_order)
         object.__setattr__(self, "fit_grid", grid)
-
-
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """The random stream of ``seed``; a negative seed raises :class:`InvalidInputError`."""
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
 
 
 def draw_rapp_params(dist: RappDistribution, rng: np.random.Generator) -> RappParameters:

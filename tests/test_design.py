@@ -252,6 +252,37 @@ def test_exchange_search_oracle_and_certificate_to_order_twelve(seed):
         assert max_prediction_mse(found_phi, 1.0) * n_pilots / order - 1.0 <= 1e-3, order
 
 
+def _per_step_exchange(order, n_pilots, grid_resolution, seed):
+    """The exchange search that factors the current pilots on every step, moved or not."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, grid_resolution + 1)
+    basis = grid[:, None] * npleg.legvander(2.0 * grid - 1.0, order - 1)
+    index = np.rint(np.arange(1, n_pilots + 1) / n_pilots * grid_resolution).astype(int)
+    for _ in range(design.EXCHANGE_MAX_SWEEPS):
+        moved = False
+        for j in rng.permutation(n_pilots):
+            z = np.linalg.solve(np.linalg.qr(basis[index], mode="r").T, basis.T)
+            d = np.einsum("ij,ij->j", z, z)
+            ratio = (1.0 + d) * (1.0 - d[index[j]]) + (z[:, index[j]] @ z) ** 2
+            choice = int(np.argmax(ratio))
+            if choice != index[j] and ratio[choice] > 1.0 + design.EXCHANGE_MIN_GAIN:
+                index[j] = choice
+                moved = True
+        if not moved:
+            break
+    pilots = PilotSequence(np.sort(grid[index]).astype(complex), 1.0)
+    return pilots, d_criterion(build_design_matrix(pilots, order), 1.0)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_exchange_search_factors_only_after_a_move(order):
+    for n_pilots in (order, 2 * order):
+        pilots, found = exchange_search_verify(order, n_pilots, grid_resolution=1000, seed=order)
+        reference_pilots, reference = _per_step_exchange(order, n_pilots, 1000, order)
+        assert np.array_equal(pilots.symbols, reference_pilots.symbols)
+        assert found.log_det == reference.log_det
+
+
 def test_exchange_search_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(design, "EXCHANGE_MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError):

@@ -34,7 +34,7 @@ from patrain import (
     rapp_response,
     uniform_pilots,
 )
-from patrain.estimators import _derivative_coefficients, _factor
+from patrain.estimators import _derivative_map, _factor
 from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig3, snr_db_to_sigma2
 from patrain.prior import (
     PriorConfig,
@@ -484,11 +484,15 @@ def test_max_prediction_mse_bounds_every_sampled_value(problem):
 def test_derivative_coefficients_match_numpy_interpolate_and_differentiate(order):
     cheb = np.polynomial.chebyshev
     series = np.random.default_rng(order).normal(size=2 * order + 1)
-    func = lambda x: cheb.chebval(x, series)
-    reference = cheb.chebder(cheb.chebinterpolate(func, 2 * order))
-    got = _derivative_coefficients(func, 2 * order)
+    reference = cheb.chebder(cheb.chebinterpolate(lambda x: cheb.chebval(x, series), 2 * order))
+    nodes, slope_map = _derivative_map(2 * order)
+    got = slope_map @ cheb.chebval(nodes, series)
     assert got.shape == reference.shape
     assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+    # The map is built once per degree and shared by every caller.
+    assert _derivative_map(2 * order)[1] is slope_map
+    assert not nodes.flags.writeable and not slope_map.flags.writeable
+    assert _derivative_map.cache_info().maxsize is not None
 
 
 def _interpolate_differentiate_max(phi, sigma2, prior, cap):
@@ -500,26 +504,62 @@ def _interpolate_differentiate_max(phi, sigma2, prior, cap):
     return factor.mse(half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0), [sigma2]).max()
 
 
+EQUIVALENCE_SIGMA2S = (1e-3, 0.1, 1.0)
+
+
 def _equivalence_cases(order):
-    """(design, sigma2, prior, cap) over pilots, N, prior rank, sigma2 and the amplitude range."""
+    """(design, prior, cap, allocation) over pilots, N, prior rank and the amplitude range."""
     rng = np.random.default_rng(order)
     full_rank = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
     draws = rng.normal(size=(order - 1, order)) + 1j * rng.normal(size=(order - 1, order))
     low_rank = PriorStatistics(draws.mean(axis=0), draws.T @ draws.conj() / (order - 1))
     for cap in (1.0, 2.5):
         for n_pilots in (order, 2 * order):
-            for pilots in (allocate_pilots(order, n_pilots, max_amplitude=cap), uniform_pilots(n_pilots, cap)):
+            for allocation in ("optimal", "uniform"):
+                if allocation == "optimal":
+                    pilots = allocate_pilots(order, n_pilots, max_amplitude=cap)
+                else:
+                    pilots = uniform_pilots(n_pilots, cap)
                 phi = build_design_matrix(pilots, order)
                 for prior in (None, full_rank, low_rank):
-                    for sigma2 in (1e-3, 0.1, 1.0):
-                        yield phi, sigma2, prior, cap
+                    yield phi, prior, cap, allocation
 
 
 @pytest.mark.parametrize("order", range(2, 9))
 def test_max_prediction_mse_matches_interpolate_and_differentiate(order):
-    for phi, sigma2, prior, cap in _equivalence_cases(order):
-        reference = _interpolate_differentiate_max(phi, sigma2, prior, cap)
-        assert max_prediction_mse(phi, sigma2, prior, cap) == pytest.approx(reference, rel=1e-10)
+    for phi, prior, cap, _ in _equivalence_cases(order):
+        swept = max_prediction_mse(phi, np.array(EQUIVALENCE_SIGMA2S), prior, cap)
+        assert isinstance(swept, np.ndarray) and swept.shape == (len(EQUIVALENCE_SIGMA2S),)
+        for sigma2, from_sweep in zip(EQUIVALENCE_SIGMA2S, swept):
+            reference = _interpolate_differentiate_max(phi, sigma2, prior, cap)
+            value = max_prediction_mse(phi, sigma2, prior, cap)
+            assert type(value) is float
+            assert value == pytest.approx(reference, rel=1e-10)
+            assert from_sweep == pytest.approx(value, rel=1e-10)
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_max_prediction_mse_location_matches_a_dense_grid(order):
+    points = 200_001
+    for phi, prior, cap, allocation in _equivalence_cases(order):
+        factor = _factor(phi, prior)
+        maxima, amplitudes = factor.max_mse(cap, EQUIVALENCE_SIGMA2S)
+        grid = np.linspace(0.0, cap, points)
+        on_grid = factor.mse(grid, EQUIVALENCE_SIGMA2S)
+        for j, sigma2 in enumerate(EQUIVALENCE_SIGMA2S):
+            # The public MSE at the returned amplitude, within the round-off of
+            # one MSE evaluation (2.6e-12 relative at L = 7 on [0, 2.5]).
+            at_location = mse_curve(phi, [amplitudes[j]], sigma2, prior).mse_values[0]
+            assert at_location == pytest.approx(maxima[j], rel=1e-10)
+            if allocation == "optimal" and prior is None:
+                # sigma2 L / N is attained at every support point, so the location is not unique.
+                assert maxima[j] == pytest.approx(sigma2 * order / phi.shape[0], rel=1e-10)
+                continue
+            # A grid misses an interior peak by f'' h^2 / 8, up to 1.5e-9 relative
+            # here, so no grid point may beat the maximum beyond rounding.
+            assert on_grid[:, j].max() <= maxima[j] * (1 + 1e-12)
+            if allocation == "uniform":
+                assert abs(amplitudes[j] - grid[np.argmax(on_grid[:, j])]) <= 2 * cap / (points - 1)
 
 
 def test_psd_ordering_ls_versus_lmmse():
@@ -580,10 +620,19 @@ def test_every_estimator_rejects_invalid_noise(sigma2):
         lambda: mse_curve(phi, np.linspace(0.0, 1.0, 5), sigma2),
         lambda: max_prediction_mse(phi, sigma2),
         lambda: max_prediction_mse(phi, sigma2, prior),
+        lambda: max_prediction_mse(phi, [0.1, sigma2, 1.0]),
+        lambda: max_prediction_mse(phi, np.array([0.1, sigma2]), prior),
     ]
     for call in calls:
         with pytest.raises(InvalidNoiseError):
             call()
+
+
+@pytest.mark.parametrize("sigma2", [[], np.ones((2, 2)), [[0.1, 1.0]]], ids=["empty", "2x2", "1x2"])
+def test_max_prediction_mse_rejects_a_noise_variance_that_is_no_number_or_vector(sigma2):
+    phi = build_design_matrix(allocate_pilots(3, 3), 3)
+    with pytest.raises(DimensionMismatchError):
+        max_prediction_mse(phi, sigma2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -621,6 +670,7 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         lambda: MseCurve([0.25, 0.5], [1.0, -1.0]),
         lambda: mse_curve(phi, [-0.5, 0.5], 1.0),
         lambda: max_prediction_mse(phi, 1.0, max_amplitude=0.0),
+        lambda: generate_noisy_observations(PaPolynomial([1.0]), allocate_pilots(1, 1), NoiseModel(0.1, seed=-1)),
         # pa_model
         lambda: PaPolynomial([]),
         lambda: PilotSequence(np.full((2, 2), 0.5)),
@@ -643,6 +693,7 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         lambda: optimal_design(0, 1),
         lambda: uniform_pilots(0),
         lambda: exchange_search_verify(2, 2, grid_resolution=10),
+        lambda: exchange_search_verify(3, 3, seed=-1),
         # experiments
         lambda: run_fig3(realizations=0),
         lambda: run_fig3(seed=-1),
