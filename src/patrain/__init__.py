@@ -2,12 +2,10 @@
 
 from .design import (
     DesignCriterionValue,
-    OptimalDesign,
     allocate_pilots,
     d_criterion,
     exchange_search_verify,
     legendre_derivative_roots,
-    optimal_design,
     optimal_support_points,
     uniform_pilots,
 )
@@ -15,7 +13,6 @@ from .errors import (
     ConvergenceError,
     CsvFormatError,
     DimensionMismatchError,
-    IllConditionedBasisError,
     InvalidInputError,
     InvalidNoiseError,
     InvalidPriorError,
@@ -42,10 +39,7 @@ from .pa_model import (
     PilotSequence,
     RappParameters,
     build_design_matrix,
-    build_prediction_vector,
-    change_basis,
     eval_polynomial,
-    map_coefficients,
     rapp_response,
 )
 from .prior import (

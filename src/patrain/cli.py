@@ -18,7 +18,7 @@ from .errors import (
     PatrainError,
     PilotAllocationError,
 )
-from .prior import MAX_FIT_GRID_POINTS, default_fit_grid, load_prior
+from .prior import MAX_FIT_GRID_POINTS, _fit_grid_size, default_fit_grid, load_prior
 
 # The one map from errors to exit codes and message prefixes.  The first row
 # whose classes match wins, so the PatrainError catch-all comes last.  A float
@@ -111,10 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("observation_csv", help="observation file with header index,re,im")
     p_est.add_argument("--order", type=int, required=True)
     p_est.add_argument("--sigma2", type=float, required=True)
-    p_est.add_argument(
-        "--estimator", choices=["ls", "lmmse"], default=None,
-        help="estimator to run (default: ls, or lmmse when a prior is given)",
-    )
     p_est.add_argument("--prior-mean", default=None, help="prior mean CSV (with --prior-cov)")
     p_est.add_argument("--prior-cov", default=None, help="prior covariance CSV")
     p_est.add_argument("--out", default=None)
@@ -129,13 +125,9 @@ def _add_grid_flags(p) -> None:
 
 
 def _fit_grid(args):
-    if not (0 < args.fit_grid_max < math.inf and 0 < args.fit_grid_step < math.inf):
-        raise InvalidInputError("fit grid bounds must be positive and finite")
-    # Count the points the way default_fit_grid does, before it allocates them.
-    ratio = args.fit_grid_max / args.fit_grid_step
-    points = round(ratio) + 1 if math.isfinite(ratio) else math.inf
-    if points > MAX_FIT_GRID_POINTS:
-        raise InvalidInputError(f"fit grid would have {points} points; at most {MAX_FIT_GRID_POINTS} are allowed")
+    points = _fit_grid_size(args.fit_grid_max, args.fit_grid_step)
+    message = f"fit grid would have {points} points; at most {MAX_FIT_GRID_POINTS} are allowed"
+    _check(points <= MAX_FIT_GRID_POINTS, message)
     return default_fit_grid(args.fit_grid_max, args.fit_grid_step)
 
 
@@ -201,15 +193,9 @@ def _cmd_estimate(args) -> int:
         (args.prior_mean is None) == (args.prior_cov is None),
         "--prior-mean and --prior-cov must be given together",
     )
-    has_prior = args.prior_mean is not None
-    if args.estimator is not None:
-        _check(
-            (args.estimator == "ls") != has_prior,
-            "ls takes no prior files; lmmse requires them",
-        )
     pilots = experiments.read_pilot_csv(args.pilot_csv)
     observations = experiments.read_observation_csv(args.observation_csv)
-    prior = load_prior(args.prior_mean, args.prior_cov) if has_prior else None
+    prior = load_prior(args.prior_mean, args.prior_cov) if args.prior_mean is not None else None
     result = experiments.estimate_from_files(pilots, observations, args.order, args.sigma2, prior)
     return _emit(experiments.estimation_table(result), args.out)
 

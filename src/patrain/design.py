@@ -25,15 +25,6 @@ EXCHANGE_MAX_SWEEPS = 500
 EXCHANGE_MIN_GAIN = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class OptimalDesign:
-    """Support amplitudes (sorted, last entry 1) and the pilots-per-point count."""
-
-    order: int
-    support_points: np.ndarray
-    multiplicity: int
-
-
 @dataclass(frozen=True)
 class DesignCriterionValue:
     """D-criterion: log-determinant of the LS error covariance."""
@@ -70,15 +61,15 @@ def optimal_support_points(order: int) -> np.ndarray:
     return np.append((roots + 1.0) / 2.0, 1.0)
 
 
-def optimal_design(order: int, n_pilots: int) -> OptimalDesign:
-    """Support points plus multiplicity for ``n_pilots`` split evenly across them."""
+def _multiplicity(order: int, n_pilots: int) -> int:
+    """Pilots per support point when ``n_pilots`` are split evenly across ``order`` points."""
     if order < 1:
         raise InvalidInputError("order must be >= 1")
     if n_pilots < 1 or n_pilots % order != 0:
         raise PilotAllocationError(
             f"pilot count {n_pilots} must be a positive multiple of the order {order}"
         )
-    return OptimalDesign(order, optimal_support_points(order), n_pilots // order)
+    return n_pilots // order
 
 
 def allocate_pilots(order: int, n_pilots: int, max_amplitude: float = 1.0) -> PilotSequence:
@@ -86,8 +77,8 @@ def allocate_pilots(order: int, n_pilots: int, max_amplitude: float = 1.0) -> Pi
 
     The phases are zero; they never affect the estimation error covariances.
     """
-    design = optimal_design(order, n_pilots)
-    amplitudes = np.repeat(design.support_points * max_amplitude, design.multiplicity)
+    multiplicity = _multiplicity(order, n_pilots)
+    amplitudes = np.repeat(optimal_support_points(order) * max_amplitude, multiplicity)
     return PilotSequence(amplitudes.astype(complex), max_amplitude)
 
 
@@ -147,7 +138,7 @@ def exchange_search_verify(
     """
     if grid_resolution < 100:
         raise InvalidInputError("grid_resolution must be >= 100")
-    optimal_design(order, n_pilots)  # validates the multiplicity up front
+    _multiplicity(order, n_pilots)  # validates the multiplicity up front
     rng = _seeded_rng(seed)
     grid = np.linspace(0.0, 1.0, grid_resolution + 1)
     basis = grid[:, None] * np.polynomial.legendre.legvander(2.0 * grid - 1.0, order - 1)

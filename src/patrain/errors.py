@@ -9,10 +9,6 @@ class RankDeficiencyError(PatrainError, ValueError):
     """Design matrix is rank deficient or too ill conditioned to invert."""
 
 
-class IllConditionedBasisError(PatrainError):
-    """Basis-change matrix is singular or numerically not invertible."""
-
-
 class InvalidNoiseError(PatrainError):
     """Noise variance is not strictly positive."""
 

@@ -141,11 +141,12 @@ def run_fig3(
     """
     grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
     dist = RappDistribution()
+    nominal_params = RappParameters(dist.gain_mean, dist.v_sat_mean, dist.smoothness_mean)
+    # The fit checks the grid, so it comes before any draw.
+    fit_model = fit_polynomial_to_curve(nominal_params, order, grid)
     rng = _seeded_rng(seed)
     responses = np.concatenate(list(rapp_response_blocks(dist, rng, realizations, grid)))
-    nominal_params = RappParameters(dist.gain_mean, dist.v_sat_mean, dist.smoothness_mean)
     nominal = rapp_response(nominal_params, grid)
-    fit_model = fit_polynomial_to_curve(nominal_params, order, grid)
     fitted = basis_rows(grid, order) @ fit_model.coefficients.real
     mean = responses.mean(axis=0)
     spread = 2.0 * responses.std(axis=0)

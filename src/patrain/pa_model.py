@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedBasisError, InvalidInputError
+from .errors import InvalidInputError
 
 # Condition number above which a matrix is treated as numerically singular.
 CONDITION_LIMIT = 1e12
@@ -101,35 +101,6 @@ def basis_rows(s, order: int) -> np.ndarray:
 def build_design_matrix(pilots: PilotSequence, order: int) -> np.ndarray:
     """N x L complex matrix with entry (n, l) = s_n |s_n|^(l-1)."""
     return basis_rows(pilots.symbols, order)
-
-
-def build_prediction_vector(s_tilde: complex, order: int) -> np.ndarray:
-    """Basis vector (s, s|s|, ..., s|s|^(L-1)) at a single input value."""
-    return basis_rows(np.asarray(s_tilde, dtype=complex), order)
-
-
-def _check_basis(transform: np.ndarray, order: int) -> np.ndarray:
-    transform = np.asarray(transform, dtype=complex)
-    if transform.shape != (order, order):
-        raise IllConditionedBasisError("basis transform must be square and match the model order")
-    cond = np.linalg.cond(transform)
-    if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
-        raise IllConditionedBasisError(f"basis transform condition number {cond:.3e} too large")
-    return transform
-
-
-def change_basis(design: np.ndarray, transform: np.ndarray) -> np.ndarray:
-    """Re-express a design matrix in another polynomial basis via ``design @ transform``."""
-    design = np.asarray(design, dtype=complex)
-    transform = _check_basis(transform, design.shape[1])
-    return design @ transform
-
-
-def map_coefficients(transform: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Coefficient vector in the transformed basis, ``transform @ coefficients``."""
-    coefficients = np.asarray(coefficients, dtype=complex)
-    transform = _check_basis(transform, coefficients.size)
-    return transform @ coefficients
 
 
 def rapp_response(params: RappParameters, amplitude):

@@ -12,11 +12,12 @@ with the channel phase compensated (coherent) or averaged out (noncoherent).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CsvFormatError, InvalidInputError, RankDeficiencyError
+from .errors import CsvFormatError, InvalidInputError, NonFiniteInputError, RankDeficiencyError
 from .estimators import PriorStatistics, _seeded_rng
 from .pa_model import PaPolynomial, RappParameters, basis_rows, rapp_am_am, rapp_response
 
@@ -33,10 +34,19 @@ FIT_BLOCK = 256
 MAX_FIT_GRID_POINTS = 10_000
 
 
+def _fit_grid_size(max_amplitude: float, step: float) -> int:
+    """Point count of :func:`default_fit_grid`, known before any grid is built."""
+    if not (0 < max_amplitude < math.inf and 0 < step < math.inf):
+        raise InvalidInputError("fit grid bounds must be positive and finite")
+    ratio = float(max_amplitude) / float(step)
+    if not math.isfinite(ratio):
+        raise InvalidInputError(f"fit grid from 0 to {max_amplitude} in steps of {step} has too many points")
+    return round(ratio) + 1
+
+
 def default_fit_grid(max_amplitude: float = 1.5, step: float = 0.0625) -> np.ndarray:
-    """Uniform fitting grid from 0 to ``max_amplitude`` in steps of ``step``."""
-    count = round(max_amplitude / step)
-    return np.linspace(0.0, max_amplitude, count + 1)
+    """Uniform fitting grid from 0 to ``max_amplitude`` in steps of ``step``, both positive and finite."""
+    return np.linspace(0.0, max_amplitude, _fit_grid_size(max_amplitude, step))
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,14 @@ class RappDistribution:
     smoothness_variance: float = 0.1
 
     def __post_init__(self) -> None:
-        if min(self.gain_variance, self.v_sat_variance, self.smoothness_variance) < 0:
-            raise InvalidInputError("variances must be nonnegative")
+        means = (self.gain_mean, self.v_sat_mean, self.smoothness_mean)
+        variances = (self.gain_variance, self.v_sat_variance, self.smoothness_variance)
+        # With every mean positive, a drawn triple is all positive with
+        # probability at least 1/8, so the rejection loops end.
+        if not all(0 < mean < math.inf for mean in means):
+            raise InvalidInputError("means must be positive and finite")
+        if not all(0 <= variance < math.inf for variance in variances):
+            raise InvalidInputError("variances must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +138,11 @@ def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count
 
 
 def _check_fit_grid(grid: np.ndarray, order: int) -> None:
-    """Reject a fit grid on which an order-``order`` fit is rank deficient."""
+    """Reject an order below 1, a non-finite grid, and a grid on which the fit is rank deficient."""
+    if order < 1:
+        raise InvalidInputError("fit order must be >= 1")
+    if not np.all(np.isfinite(grid)):
+        raise NonFiniteInputError("fit grid must be finite")
     if np.unique(grid[grid > 0]).size < order:
         raise RankDeficiencyError("fit grid needs at least order distinct positive points")
 
@@ -138,7 +158,8 @@ def _fit_projector(grid: np.ndarray, order: int) -> np.ndarray:
 def fit_polynomial_to_curve(params: RappParameters, order: int, grid: np.ndarray) -> PaPolynomial:
     """Least-squares polynomial fit to the Rapp response sampled on ``grid``."""
     grid = np.asarray(grid, dtype=float)
-    return PaPolynomial(rapp_response(params, grid) @ _fit_projector(grid, order))
+    projector = _fit_projector(grid, order)
+    return PaPolynomial(rapp_response(params, grid) @ projector)
 
 
 def fit_realizations(config: PriorConfig, dist: RappDistribution) -> np.ndarray:

@@ -147,7 +147,7 @@ def test_criterion_08_invariance_suite():
             if np.linalg.cond(u) >= 1e4:
                 continue
             checked += 1
-            psi, psi_pred = pt.change_basis(base, u), pt.change_basis(pred, u)
+            psi, psi_pred = base @ u, pred @ u
             # psi = base @ u keeps the observations unchanged for coefficients
             # alpha = inv(u) beta, so the prior transforms with inv(u).
             u_inv = np.linalg.inv(u)

@@ -50,23 +50,6 @@ def test_design_command_uniform_allocation():
     assert amps == ["0.25", "0.5", "0.75", "1"]
 
 
-def test_estimate_estimator_flag_must_match_prior(tmp_path):
-    pilots_path = tmp_path / "pilots.csv"
-    obs_path = tmp_path / "obs.csv"
-    pilots_path.write_text("index,amp,phase\n0,0.5,0\n1,1,0\n")
-    obs_path.write_text("index,re,im\n0,0.4,0\n1,0.9,0\n")
-    proc = run_cli(
-        "estimate", str(pilots_path), str(obs_path), "--order", "2", "--sigma2", "1",
-        "--estimator", "lmmse",
-    )
-    assert proc.returncode == 2
-    ls = run_cli(
-        "estimate", str(pilots_path), str(obs_path), "--order", "2", "--sigma2", "1",
-        "--estimator", "ls",
-    )
-    assert ls.returncode == 0
-
-
 def test_fig2_output_is_deterministic(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -423,7 +406,6 @@ _FUZZ_VALUES = {
     "--snr-db-list": (["0", "0,60"], ["", ",", "nan", "4000", "-4000", "-3000", "1e309", "x"]),
     "--snr-convention": (["per-symbol", "total"], ["other"]),
     "--allocation": (["optimal", "uniform"], ["other"]),
-    "--estimator": (["ls", "lmmse"], ["other"]),
 }
 _FUZZ_FLAGS = {
     "fig1": ["--order", "--pilots", "--sigma2"],
@@ -434,7 +416,7 @@ _FUZZ_FLAGS = {
         "--snr-db-list", "--snr-convention",
     ],
     "design": ["--order", "--pilots", "--max-amplitude", "--allocation"],
-    "estimate": ["--order", "--sigma2", "--estimator", "--prior-mean", "--prior-cov"],
+    "estimate": ["--order", "--sigma2", "--prior-mean", "--prior-cov"],
 }
 # Flags always passed: estimate requires the first two, and the realization
 # default (100) is above the fuzz sizes.

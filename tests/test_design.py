@@ -18,7 +18,6 @@ from patrain import (
     legendre_derivative_roots,
     ls_estimate,
     max_prediction_mse,
-    optimal_design,
     optimal_support_points,
     prediction_mse,
     uniform_pilots,
@@ -131,10 +130,10 @@ def test_allocate_pilots_random_phases_keep_gram():
     assert np.abs(rotated.conj().T @ rotated - gram).max() < 1e-12
 
 
-def test_optimal_design_fields():
-    design = optimal_design(3, 6)
-    assert design.order == 3 and design.multiplicity == 2
-    assert design.support_points[-1] == 1.0
+def test_allocate_pilots_repeats_each_support_point():
+    pilots = allocate_pilots(3, 6)
+    assert np.array_equal(pilots.symbols, np.repeat(optimal_support_points(3), 2))
+    assert pilots.symbols[-1] == 1.0
 
 
 def test_uniform_pilots_examples():

@@ -19,8 +19,6 @@ from patrain import (
     RappParameters,
     allocate_pilots,
     build_design_matrix,
-    build_prediction_vector,
-    change_basis,
     exchange_search_verify,
     generate_noisy_observations,
     legendre_derivative_roots,
@@ -28,7 +26,6 @@ from patrain import (
     ls_estimate,
     max_prediction_mse,
     mse_curve,
-    optimal_design,
     prediction_covariance,
     prediction_mse,
     rapp_response,
@@ -36,6 +33,7 @@ from patrain import (
 )
 from patrain.estimators import _derivative_map, _factor
 from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig3, snr_db_to_sigma2
+from patrain.pa_model import basis_rows
 from patrain.prior import (
     PriorConfig,
     RappDistribution,
@@ -369,7 +367,7 @@ def test_mse_functions_reject_a_design_in_another_basis():
     # MSE of 231.68 instead of sigma2 L / N = 1.
     transform = np.triu(np.ones((4, 4)))
     phi = build_design_matrix(allocate_pilots(4, 4), 4)
-    psi = change_basis(phi, transform)
+    psi = phi @ transform
     for call in (
         lambda: max_prediction_mse(psi, 1.0),
         lambda: mse_curve(psi, [0.0, 0.5, 1.0], 1.0),
@@ -379,7 +377,7 @@ def test_mse_functions_reject_a_design_in_another_basis():
             call()
     # Rows in the design's own basis give the same MSE through prediction_covariance.
     rows = build_design_matrix(PilotSequence(np.linspace(0.0, 1.0, 11)), 4)
-    covariance = prediction_covariance(psi, change_basis(rows, transform), 1.0)
+    covariance = prediction_covariance(psi, rows @ transform, 1.0)
     assert_allclose(np.diag(covariance).real, mse_curve(phi, np.linspace(0.0, 1.0, 11), 1.0).mse_values, rtol=1e-10)
     assert max_prediction_mse(phi, 1.0) == pytest.approx(1.0, rel=1e-12)
 
@@ -678,10 +676,18 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         lambda: PilotSequence([2.0]),
         lambda: RappParameters(gain=0.0),
         lambda: build_design_matrix(allocate_pilots(3, 3), 0),
-        lambda: build_prediction_vector(0.5, 0),
+        lambda: basis_rows(0.5, 0),
         lambda: rapp_response(RappParameters(), -1.0),
         # prior
         lambda: RappDistribution(gain_variance=-1.0),
+        lambda: RappDistribution(gain_variance=np.nan),
+        lambda: RappDistribution(gain_mean=-10.0, gain_variance=0.0),
+        lambda: PriorConfig(fit_order=0),
+        lambda: PriorConfig(fit_order=-1),
+        lambda: default_fit_grid(1.0, 0.0),
+        lambda: default_fit_grid(1.0, -0.1),
+        lambda: default_fit_grid(np.nan, 0.1),
+        lambda: default_fit_grid(1.0, np.inf),
         lambda: PriorConfig(realizations=0),
         lambda: PriorConfig(mode="partial"),
         lambda: list(rapp_response_blocks(RappDistribution(), np.random.default_rng(0), 1, [-1.0])),
@@ -690,7 +696,7 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         lambda: build_prior(PriorConfig(seed=-1), RappDistribution()),
         # design
         lambda: legendre_derivative_roots(0),
-        lambda: optimal_design(0, 1),
+        lambda: allocate_pilots(0, 1),
         lambda: uniform_pilots(0),
         lambda: exchange_search_verify(2, 2, grid_resolution=10),
         lambda: exchange_search_verify(3, 3, seed=-1),
@@ -717,7 +723,6 @@ def test_array_holding_values_compare_by_identity_and_hash():
         lambda: _factor(phi),
         lambda: PaPolynomial([1.0, 0.5]),
         lambda: PilotSequence([0.5, 1.0]),
-        lambda: optimal_design(2, 2),
         lambda: PriorConfig(),
         lambda: CsvTable(("a",), [[1.0], [2.0]]),
     ]

@@ -3,19 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from patrain import (
-    IllConditionedBasisError,
     PaPolynomial,
     PilotSequence,
     PriorStatistics,
     RappParameters,
     build_design_matrix,
-    build_prediction_vector,
-    change_basis,
     eval_polynomial,
-    map_coefficients,
     prediction_covariance,
     rapp_response,
 )
+from patrain.pa_model import basis_rows
 
 
 def test_eval_polynomial_linear_identity():
@@ -74,31 +71,16 @@ def test_design_matrix_first_column_is_pilots():
 
 
 def test_prediction_vector_examples():
-    assert_allclose(build_prediction_vector(1.0, 3), [1.0, 1.0, 1.0])
-    assert np.array_equal(build_prediction_vector(0.0, 4), np.zeros(4, dtype=complex))
-    assert_allclose(build_prediction_vector(0.5, 2), [0.5, 0.25])
+    assert_allclose(basis_rows(1.0, 3), [1.0, 1.0, 1.0])
+    assert np.array_equal(basis_rows(0.0, 4), np.zeros(4, dtype=complex))
+    assert_allclose(basis_rows(0.5, 2), [0.5, 0.25])
 
 
 def test_prediction_vector_matches_design_rows():
     symbols = np.array([0.3 + 0.1j, -0.9j, 1.0])
     phi = build_design_matrix(PilotSequence(symbols), 5)
     for n, s in enumerate(symbols):
-        assert np.array_equal(build_prediction_vector(complex(s), 5), phi[n])
-
-
-def test_change_basis_identity_and_scaling():
-    phi = build_design_matrix(PilotSequence([0.5, 1.0]), 2)
-    assert np.array_equal(change_basis(phi, np.eye(2)), phi)
-    doubled = change_basis(phi, 2.0 * np.eye(2))
-    assert_allclose(doubled, 2.0 * phi)
-    coef = np.array([1.0 + 1j, -0.5])
-    assert_allclose(map_coefficients(2.0 * np.eye(2), coef), 2.0 * coef)
-
-
-def test_change_basis_rejects_singular_transform():
-    phi = build_design_matrix(PilotSequence([0.5, 1.0]), 2)
-    with pytest.raises(IllConditionedBasisError):
-        change_basis(phi, np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert np.array_equal(basis_rows(complex(s), 5), phi[n])
 
 
 def _random_full_rank(rng, order, cond_limit=1e4):
@@ -125,12 +107,10 @@ def test_basis_change_leaves_prediction_covariance_invariant():
     for _ in range(5):
         u = _random_full_rank(rng, order)
         u_inv = np.linalg.inv(u)
-        psi = change_basis(phi, u)
-        psi_pred = change_basis(phi_pred, u)
+        psi = phi @ u
+        psi_pred = phi_pred @ u
         cov_alpha = u_inv @ prior.covariance @ u_inv.conj().T
-        prior_alpha = PriorStatistics(
-            map_coefficients(u_inv, prior.mean), 0.5 * (cov_alpha + cov_alpha.conj().T)
-        )
+        prior_alpha = PriorStatistics(u_inv @ prior.mean, 0.5 * (cov_alpha + cov_alpha.conj().T))
         for p, p_alpha in ((None, None), (prior, prior_alpha)):
             direct = prediction_covariance(phi, phi_pred, sigma2, p)
             transformed = prediction_covariance(psi, psi_pred, sigma2, p_alpha)

@@ -6,6 +6,7 @@ from patrain import experiments
 from patrain import prior as prior_module
 from patrain import (
     CsvFormatError,
+    NonFiniteInputError,
     PriorConfig,
     PriorStatistics,
     RankDeficiencyError,
@@ -164,6 +165,17 @@ def test_prior_mean_csv_checks_the_index_column(tmp_path):
 def test_prior_config_validates_grid():
     with pytest.raises(ValueError):
         PriorConfig(fit_order=7, fit_grid=np.array([0.0, 0.5, 1.0]))
+    # A grid holding NaN or inf is a typed error wherever it is fitted, not a
+    # LinAlgError from the pseudo-inverse.
+    for bad in (np.nan, np.inf):
+        grid = np.array([0.0, 0.25, 0.5, bad, 1.0])
+        for call in (
+            lambda: PriorConfig(fit_order=3, fit_grid=grid),
+            lambda: fit_polynomial_to_curve(RappParameters(), 3, grid),
+            lambda: experiments.run_fig3(realizations=2, order=3, fit_grid=grid),
+        ):
+            with pytest.raises(NonFiniteInputError):
+                call()
 
 
 REJECTION_HEAVY = RappDistribution(gain_mean=0.1, gain_variance=1.0)
