@@ -121,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_grid_flags(p) -> None:
     p.add_argument("--fit-grid-max", type=float, default=1.5, help="fit grid upper end")
-    p.add_argument("--fit-grid-step", type=float, default=0.0625, help="fit grid spacing")
+    p.add_argument(
+        "--fit-grid-step", type=float, default=0.0625, help="fit grid spacing; must divide --fit-grid-max"
+    )
 
 
 def _fit_grid(args):

@@ -123,13 +123,14 @@ def exchange_search_verify(
     With ``M`` the information matrix of the current pilots and
     ``d(x, y) = f(x)^T M^-1 f(y)``, replacing pilot ``x_j`` by ``x`` scales the
     determinant by ``(1 + d(x))(1 - d(x_j)) + d(x, x_j)^2`` (Fedorov, 1972);
-    all candidates are scored from one solve against the triangular factor of
-    the current pilots' basis rows.  That factor and solve are taken again only
-    after a move, since a step that moves no pilot leaves them unchanged.  A
-    move counts only if it raises the determinant by more than
-    ``EXCHANGE_MIN_GAIN`` relative.  At the optimum the Kiefer-Wolfowitz bound
-    ``max_t d(t) = L / N`` holds up to the grid spacing, which
-    ``max_prediction_mse`` of the result shows.
+    all candidates are scored from one product with the inverse of the
+    triangular factor of the current pilots' basis rows: one ``L x L`` inverse,
+    not a solve with one right-hand side per grid point.  That factor and
+    inverse are taken again only after a move, since a step that moves no pilot
+    leaves them unchanged.  A move counts only if it raises the determinant by
+    more than ``EXCHANGE_MIN_GAIN`` relative.  At the optimum the
+    Kiefer-Wolfowitz bound ``max_t d(t) = L / N`` holds up to the grid spacing,
+    which ``max_prediction_mse`` of the result shows.
 
     Raises :class:`InvalidInputError` for a negative ``seed``,
     :class:`RankDeficiencyError` when the start design is singular and
@@ -155,7 +156,7 @@ def exchange_search_verify(
             if z is None:
                 r = np.linalg.qr(basis[index], mode="r")
                 # Column x of z is R^-T f(x), so d(x, y) = z[:, x] . z[:, y].
-                z = np.linalg.solve(r.T, basis.T)
+                z = np.linalg.inv(r.T) @ basis.T
                 d = np.einsum("ij,ij->j", z, z)
             d_cross = z[:, index[j]] @ z
             ratio = (1.0 + d) * (1.0 - d[index[j]]) + d_cross**2

@@ -11,7 +11,8 @@ D-criterion all follow in closed form, and one factor serves a whole SNR sweep.
 The exact maximum prediction MSE is a root-finding problem on the factor: the
 MSE is a polynomial of degree ``2L`` in the amplitude, fixed by its values at
 ``2L + 1`` Chebyshev nodes, and one product with a constant matrix, built once
-per degree, takes those values to the coefficients of its derivative.
+per degree, takes those values to the coefficients of its derivative, whose
+roots are the eigenvalues of a colleague matrix, also cached per degree.
 """
 
 import functools
@@ -232,8 +233,9 @@ class _Factor:
 
         The node values of every ``sigma2`` come from one product and go to the
         derivative coefficients in one more (:func:`_derivative_map`); each
-        column then takes its own ``chebroots``, and the endpoints and the
-        clipped roots are scored with the weights already taken.
+        column then takes its roots from a copy of the cached colleague matrix
+        (:func:`_derivative_roots`), and the endpoints and the clipped roots
+        are scored with the weights already taken.
         """
         weights = self.weights(sigma2s)
         nodes, slope_map = _derivative_map(2 * self.basis.shape[0])
@@ -241,7 +243,7 @@ class _Factor:
         slopes = slope_map @ self.weighted_mse(half * (nodes + 1.0), weights)
         maxima, amplitudes = np.empty(weights.shape[1]), np.empty(weights.shape[1])
         for j in range(weights.shape[1]):
-            critical = np.clip(np.polynomial.chebyshev.chebroots(slopes[:, j]).real, -1.0, 1.0)
+            critical = np.clip(_derivative_roots(slopes[:, j]).real, -1.0, 1.0)
             candidates = half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0)
             values = self.weighted_mse(candidates, weights[:, j : j + 1])[:, 0]
             best = int(np.argmax(values))
@@ -384,6 +386,47 @@ def _derivative_map(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, slope_map
 
 
+@functools.lru_cache(maxsize=16)
+def _colleague(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The colleague matrix of a degree-``degree`` Chebyshev series before its
+    coefficients enter, and the scale of their column, as
+    ``numpy.polynomial.chebyshev.chebcompanion`` builds them.
+
+    The matrix is stored rotated by 180 degrees, as ``chebroots`` rotates it
+    before its eigensolve, so the coefficients enter its first column, last
+    coefficient first.  Both arrays are read-only, since every caller shares
+    them; the cache is bounded, as each entry holds ``degree^2`` floats.
+    """
+    scl = np.array([1.0] + [np.sqrt(0.5)] * (degree - 1))
+    off_diagonal = np.full(degree - 1, 1 / 2)
+    off_diagonal[0] = np.sqrt(0.5)
+    mat = np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+    rotated, scale = mat[::-1, ::-1].copy(), scl / scl[-1]
+    rotated.flags.writeable = scale.flags.writeable = False
+    return rotated, scale
+
+
+def _derivative_roots(coefficients: np.ndarray) -> np.ndarray:
+    """Roots of the Chebyshev series ``coefficients``, equal to
+    ``numpy.polynomial.chebyshev.chebroots`` of it.
+
+    The last-column shift is subtracted from a copy of the cached colleague
+    matrix (:func:`_colleague`) exactly as ``chebcompanion`` subtracts it, and
+    one ``eigvals`` call takes the roots.  Where ``chebroots`` takes another
+    branch, it is called itself: degree 1, which it solves directly, and a
+    leading coefficient that is exactly 0, which it trims.
+    """
+    degree = coefficients.size - 1
+    if degree < 2 or coefficients[-1] == 0:
+        return np.polynomial.chebyshev.chebroots(coefficients)
+    rotated, scale = _colleague(degree)
+    matrix = rotated.copy()
+    matrix[:, 0] -= ((coefficients[:-1] / coefficients[-1]) * scale * 0.5)[::-1]
+    roots = np.linalg.eigvals(matrix)
+    roots.sort()
+    return roots
+
+
 def max_prediction_mse(
     design: np.ndarray,
     sigma2: float | np.ndarray,
@@ -402,8 +445,11 @@ def max_prediction_mse(
     (:func:`_derivative_map`), takes the node values of every ``sigma2`` to the
     Chebyshev coefficients of their derivatives.  The maximum is taken over
     both endpoints and the real parts of the roots of that derivative, the
-    eigenvalues of its colleague matrix (Boyd, 2002), clipped to the range;
-    every candidate is evaluated by the MSE itself.
+    eigenvalues of its colleague matrix (Boyd, 2002), clipped to the range.
+    The colleague matrix is a template cached per degree (:func:`_colleague`);
+    each ``sigma2``'s coefficients enter one column of a copy of it, and one
+    eigensolve per ``sigma2`` takes the roots.  Every candidate is then
+    evaluated by the MSE itself.
     """
     if not 0 < max_amplitude < math.inf:
         raise InvalidInputError("max_amplitude must be positive and finite")

@@ -35,17 +35,27 @@ MAX_FIT_GRID_POINTS = 10_000
 
 
 def _fit_grid_size(max_amplitude: float, step: float) -> int:
-    """Point count of :func:`default_fit_grid`, known before any grid is built."""
+    """Point count of :func:`default_fit_grid`, known before any grid is built.
+
+    ``max_amplitude / step`` must be a whole number of steps, at least 1, within
+    1e-9 relative, so that the grid spacing is the step asked for.
+    """
     if not (0 < max_amplitude < math.inf and 0 < step < math.inf):
         raise InvalidInputError("fit grid bounds must be positive and finite")
     ratio = float(max_amplitude) / float(step)
     if not math.isfinite(ratio):
         raise InvalidInputError(f"fit grid from 0 to {max_amplitude} in steps of {step} has too many points")
-    return round(ratio) + 1
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+        raise InvalidInputError(
+            f"fit grid step {step} does not divide the maximum {max_amplitude} into a whole number of steps"
+        )
+    return steps + 1
 
 
 def default_fit_grid(max_amplitude: float = 1.5, step: float = 0.0625) -> np.ndarray:
-    """Uniform fitting grid from 0 to ``max_amplitude`` in steps of ``step``, both positive and finite."""
+    """Uniform fitting grid from 0 to ``max_amplitude`` in steps of ``step``, both positive and
+    finite; a step that does not divide ``max_amplitude`` raises :class:`InvalidInputError`."""
     return np.linspace(0.0, max_amplitude, _fit_grid_size(max_amplitude, step))
 
 
@@ -143,7 +153,9 @@ def _check_fit_grid(grid: np.ndarray, order: int) -> None:
         raise InvalidInputError("fit order must be >= 1")
     if not np.all(np.isfinite(grid)):
         raise NonFiniteInputError("fit grid must be finite")
-    if np.unique(grid[grid > 0]).size < order:
+    # Distinct points counted from a sorted copy: np.unique would import numpy.ma.
+    positive = np.sort(grid[grid > 0])
+    if np.count_nonzero(np.diff(positive) > 0) + (positive.size > 0) < order:
         raise RankDeficiencyError("fit grid needs at least order distinct positive points")
 
 

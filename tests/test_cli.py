@@ -183,6 +183,13 @@ def test_short_fit_grid_is_numerical_error(command, capsys):
     assert "fit grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fig3", "fig4"])
+@pytest.mark.parametrize("bounds", [("1.0", "0.3"), ("0.1", "0.25")])
+def test_fit_grid_step_that_does_not_divide_the_maximum_is_usage_error(command, bounds, capsys):
+    assert cli.main([command, "--fit-grid-max", bounds[0], "--fit-grid-step", bounds[1]]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error():
     proc = run_cli("not-a-command")
     assert proc.returncode == 2
@@ -279,6 +286,17 @@ def test_import_does_not_load(module):
     # numpy.random and numpy.polynomial load on first use, not on import;
     # scipy is not a dependency at all.
     code = f"import sys, patrain.cli; print({module!r} in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4"])
+def test_fit_grid_runs_do_not_load_numpy_ma(command, tmp_path):
+    # np.unique imports numpy.ma, about 10 ms of a fresh run; the fit-grid
+    # check counts distinct points without it.
+    argv = [command, "--out", str(tmp_path / "out.csv")]
+    code = f"import sys, patrain.cli; patrain.cli.main({argv!r}); print('numpy.ma' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -398,10 +416,12 @@ _FUZZ_VALUES = {
     "--seed": (["0", "7"], ["-1", "x"]),
     "--sigma2": (["1e-3", "1"], _EDGE_FLOATS),
     "--max-amplitude": (["1", "2.5"], _EDGE_FLOATS),
-    "--fit-grid-max": (["0.1", "1.5"], _EDGE_FLOATS),
+    # Every in-domain step, the default 0.0625 too, divides every in-domain
+    # maximum; the largest grid, at the point cap, divides only 1.5.
+    "--fit-grid-max": (["0.25", "1.5"], _EDGE_FLOATS),
     "--fit-grid-step": (
-        ["0.05", "0.0625", str(1.5 / (cli.MAX_FIT_GRID_POINTS - 1))],
-        [*_EDGE_FLOATS, str(1.5 / cli.MAX_FIT_GRID_POINTS)],
+        ["0.025", "0.05", "0.0625"],
+        [*_EDGE_FLOATS, str(1.5 / (cli.MAX_FIT_GRID_POINTS - 1)), str(1.5 / cli.MAX_FIT_GRID_POINTS)],
     ),
     "--snr-db-list": (["0", "0,60"], ["", ",", "nan", "4000", "-4000", "-3000", "1e309", "x"]),
     "--snr-convention": (["per-symbol", "total"], ["other"]),

@@ -31,7 +31,7 @@ from patrain import (
     rapp_response,
     uniform_pilots,
 )
-from patrain.estimators import _derivative_map, _factor
+from patrain.estimators import _colleague, _derivative_map, _derivative_roots, _factor
 from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig3, snr_db_to_sigma2
 from patrain.pa_model import basis_rows
 from patrain.prior import (
@@ -493,6 +493,47 @@ def test_derivative_coefficients_match_numpy_interpolate_and_differentiate(order
     assert _derivative_map.cache_info().maxsize is not None
 
 
+def _mse_slopes(factor, cap, sigma2s):
+    """The derivative coefficients whose roots ``_Factor.max_mse`` takes."""
+    nodes, slope_map = _derivative_map(2 * factor.basis.shape[0])
+    return slope_map @ factor.weighted_mse(0.5 * cap * (nodes + 1.0), factor.weights(sigma2s))
+
+
+@pytest.mark.parametrize("order", range(2, 41))
+def test_derivative_roots_equal_chebroots(order):
+    chebroots = np.polynomial.chebyshev.chebroots
+    rng = np.random.default_rng(order)
+    prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
+    factor = _factor(build_design_matrix(uniform_pilots(2 * order), order), prior)
+    for slopes in (rng.normal(size=(2 * order, 3)), _mse_slopes(factor, 1.0, EQUIVALENCE_SIGMA2S)):
+        # From about L = 29 the leading MSE coefficients are round-off, and
+        # some come out exactly 0: those go to chebroots itself.
+        for column in slopes.T:
+            assert np.array_equal(_derivative_roots(column), chebroots(column))
+    # The template is built once per degree and shared by every caller.
+    rotated, scale = _colleague(2 * order - 1)
+    assert _colleague(2 * order - 1)[0] is rotated
+    assert not rotated.flags.writeable and not scale.flags.writeable
+    assert _colleague.cache_info().maxsize is not None
+
+
+def test_derivative_roots_leave_degree_one_and_a_zero_leading_coefficient_to_chebroots():
+    chebroots = np.polynomial.chebyshev.chebroots
+    rng = np.random.default_rng(0)
+    trimmed = rng.normal(size=6)
+    trimmed[-1] = 0.0
+    for coefficients in (trimmed, rng.normal(size=2)):
+        assert np.array_equal(_derivative_roots(coefficients), chebroots(coefficients))
+    assert _derivative_roots(trimmed).size == 4
+    # Order 1: the MSE sigma2 a^2 / sum |s_n|^2 has a degree-1 derivative, so
+    # its maximum sits at the cap and comes through chebroots.
+    phi = build_design_matrix(uniform_pilots(2), 1)
+    sigma2s = np.array(EQUIVALENCE_SIGMA2S)
+    maxima, amplitudes = _factor(phi).max_mse(2.5, sigma2s)
+    assert_allclose(maxima, sigma2s * 2.5**2 / 1.25, rtol=1e-12)
+    assert np.array_equal(amplitudes, [2.5] * 3)
+
+
 def _interpolate_differentiate_max(phi, sigma2, prior, cap):
     """The maximum MSE through numpy's chebinterpolate and chebder, then chebroots."""
     cheb = np.polynomial.chebyshev
@@ -688,6 +729,8 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         lambda: default_fit_grid(1.0, -0.1),
         lambda: default_fit_grid(np.nan, 0.1),
         lambda: default_fit_grid(1.0, np.inf),
+        lambda: default_fit_grid(1.0, 0.3),
+        lambda: default_fit_grid(0.1, 0.25),
         lambda: PriorConfig(realizations=0),
         lambda: PriorConfig(mode="partial"),
         lambda: list(rapp_response_blocks(RappDistribution(), np.random.default_rng(0), 1, [-1.0])),

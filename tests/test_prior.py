@@ -6,6 +6,7 @@ from patrain import experiments
 from patrain import prior as prior_module
 from patrain import (
     CsvFormatError,
+    InvalidInputError,
     NonFiniteInputError,
     PriorConfig,
     PriorStatistics,
@@ -32,6 +33,27 @@ def test_default_fit_grid_matches_marker_abscissae():
     assert grid.size == 25
     assert grid[0] == 0.0 and grid[-1] == 1.5
     assert_allclose(np.diff(grid), 0.0625)
+
+
+def test_default_fit_grid_takes_the_step_asked_for():
+    grid = default_fit_grid(1.5, 0.025)
+    assert grid.size == 61
+    assert_allclose(np.diff(grid), 0.025)
+    largest = 1.5 / (prior_module.MAX_FIT_GRID_POINTS - 1)
+    assert prior_module._fit_grid_size(1.5, largest) == prior_module.MAX_FIT_GRID_POINTS
+    # A step that does not divide the maximum used to be rounded to one that does.
+    for bounds in ((1.0, 0.3), (0.1, 0.25), (1.5, 0.0626)):
+        with pytest.raises(InvalidInputError, match="whole number of steps"):
+            default_fit_grid(*bounds)
+
+
+def test_fit_grid_counts_distinct_positive_points():
+    # Unsorted, repeated and zero points: three distinct positive points.
+    grid = np.array([1.0, 0.0, 0.5, 0.5, 0.25, 1.0])
+    fit_polynomial_to_curve(RappParameters(), 3, grid)
+    for order, grid in ((4, grid), (1, np.zeros(3)), (1, np.array([]))):
+        with pytest.raises(RankDeficiencyError, match="distinct positive points"):
+            fit_polynomial_to_curve(RappParameters(), order, grid)
 
 
 def test_draw_degenerate_distribution_returns_means():
