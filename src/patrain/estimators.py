@@ -255,18 +255,16 @@ def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor
     """Factor the LS problem (no prior) or the whitened LMMSE problem with one SVD.
 
     LS takes the SVD of ``Phi``.  LMMSE takes that of ``Phi T``, where ``T`` is
-    the prior root kept by :class:`PriorStatistics`; with more kept directions
-    than pilots the full ``V`` is taken and ``s`` padded with zeros.
+    the prior root kept by :class:`PriorStatistics`.  With more columns than pilots
+    the full ``V`` is taken and ``s`` padded with zeros, so an LS system with too few
+    pilots fails the one rank test, :meth:`_Factor.singular_values`, with cond ``inf``.
     """
     design = _require_finite(design, "design matrix")
     if design.ndim != 2 or (prior is not None and design.shape[1] != prior.order):
         raise DimensionMismatchError("design matrix must be 2-D and, with a prior, as wide as its order")
-    n, order = design.shape
-    if prior is None and n < order:
-        raise RankDeficiencyError(f"need at least {order} pilots, got {n}")
     whitened = design if prior is None else design @ prior._whiten
     k = whitened.shape[1]
-    u, s, vh = np.linalg.svd(whitened, full_matrices=n < k)
+    u, s, vh = np.linalg.svd(whitened, full_matrices=len(design) < k)
     basis = vh.conj().T if prior is None else prior._whiten @ vh.conj().T
     return _Factor(u, np.concatenate([s, np.zeros(k - s.size)]), basis, prior is not None)
 

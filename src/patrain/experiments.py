@@ -1,12 +1,11 @@
 """Deterministic experiment runners producing the CSV data behind the figures."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .design import allocate_pilots, uniform_pilots
-from .errors import CsvFormatError, DimensionMismatchError, InvalidInputError
+from .errors import CsvFormatError, InvalidInputError
 from .estimators import (
     EstimationResult,
     PriorStatistics,
@@ -18,13 +17,16 @@ from .estimators import (
     mse_curve,
 )
 from .pa_model import PilotSequence, RappParameters, basis_rows, build_design_matrix, rapp_response
-# build_prior and draw_rapp_params are not called here any more.  They stay
-# importable from this module because perfbench's tracer wraps them here.
+# perfbench's tracer wraps build_prior, draw_rapp_params and CsvTable here, so
+# they stay importable from this module.
 from .prior import (
     COHERENT,
     NONCOHERENT,
+    CsvTable,
     PriorConfig,
     RappDistribution,
+    _complex_columns,
+    _covariance_header,
     build_prior,
     default_fit_grid,
     draw_rapp_params,
@@ -48,37 +50,8 @@ CURVE_SAMPLES = 501
 DEFAULT_SNR_SWEEP_DB = tuple(i * 20.0 / 3.0 for i in range(10))
 
 
-@dataclass(frozen=True, eq=False)
-class CsvTable:
-    """Rectangular numeric table serialized with ``digits`` significant digits."""
-
-    header: tuple
-    rows: np.ndarray
-    digits: int = 9
-
-    def __post_init__(self) -> None:
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        if rows.shape[1] != len(self.header):
-            raise DimensionMismatchError("row width must match the header")
-        object.__setattr__(self, "header", tuple(self.header))
-        object.__setattr__(self, "rows", rows)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.header.index(name)]
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            lines.append(",".join(format(value, f".{self.digits}g") for value in row))
-        return "\n".join(lines) + "\n"
-
-    def write(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            handle.write(self.to_csv())
-
-
-def snr_db_to_sigma2(snr_db: float, convention: str, n_pilots: int, p_max: float = 1.0) -> float:
-    """Noise variance for an SNR point under the chosen convention.
+def snr_db_to_sigma2(snr_db: float, convention: str, n_pilots: int) -> float:
+    """Noise variance ``1 / SNR`` at the unit amplitude cap; under ``total`` the SNR spans ``n_pilots`` pilots.
 
     A variance outside the float range raises :class:`InvalidNoiseError`.
     """
@@ -88,7 +61,7 @@ def snr_db_to_sigma2(snr_db: float, convention: str, n_pilots: int, p_max: float
         snr = 10.0 ** (snr_db / 10.0) * (n_pilots if convention == TOTAL else 1)
     except OverflowError:
         snr = math.inf
-    sigma2 = p_max / snr if snr > 0 else math.inf
+    sigma2 = 1.0 / snr if snr > 0 else math.inf
     _require_noise_variance(sigma2)
     return sigma2
 
@@ -216,18 +189,13 @@ def estimation_table(result: EstimationResult) -> CsvTable:
     """Estimate and covariance in one table: per-coefficient row with the
     matching covariance row appended as interleaved re/im columns."""
     order = result.estimate.size
-    header = ["index", "beta_re", "beta_im"]
-    for j in range(order):
-        header += [f"cov_re_{j}", f"cov_im_{j}"]
-    rows = []
-    for i in range(order):
-        row = [i, result.estimate[i].real, result.estimate[i].imag]
-        for value in result.error_covariance[i]:
-            row += [value.real, value.imag]
-        rows.append(row)
+    header = ("index", "beta_re", "beta_im", *(f"cov_{name}" for name in _covariance_header(order)))
+    rows = np.column_stack(
+        [np.arange(order), _complex_columns(result.estimate[:, None]), _complex_columns(result.error_covariance)]
+    )
     # Round-trip digits: 9 would perturb a nearly singular posterior covariance
     # enough to make the printed matrix indefinite.
-    return CsvTable(tuple(header), rows, digits=17)
+    return CsvTable(header, rows, digits=17)
 
 
 def estimate_from_files(

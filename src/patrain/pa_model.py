@@ -80,13 +80,10 @@ class RappParameters:
 
 
 def eval_polynomial(model: PaPolynomial, s):
-    """Evaluate ``f(s) = sum_l beta_l s |s|^(l-1)`` at scalar or array input."""
+    """Evaluate ``f(s) = sum_l beta_l s |s|^(l-1)`` at scalar or array input as ``basis_rows(s, L) @ beta``,
+    so noise-free observations equal the ``Phi beta`` of the estimators bit for bit."""
     s_arr = np.asarray(s, dtype=complex)
-    amp = np.abs(s_arr)
-    acc = np.full_like(s_arr, model.coefficients[-1])
-    for coef in model.coefficients[-2::-1]:
-        acc = acc * amp + coef
-    out = s_arr * acc
+    out = basis_rows(s_arr, model.order) @ model.coefficients
     return complex(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 

@@ -7,6 +7,7 @@ realization.  Realizations are processed in blocks of array operations that
 reproduce the sequential draws of :func:`draw_rapp_params` exactly.  The sample
 mean and covariance of the fitted coefficient vectors form the prior, either
 with the channel phase compensated (coherent) or averaged out (noncoherent).
+:class:`CsvTable` writes every CSV file of the package, :func:`read_csv_table` reads them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CsvFormatError, InvalidInputError, NonFiniteInputError, RankDeficiencyError
+from .errors import (
+    CsvFormatError,
+    DimensionMismatchError,
+    InvalidInputError,
+    NonFiniteInputError,
+    RankDeficiencyError,
+)
 from .estimators import PriorStatistics, _seeded_rng
 from .pa_model import PaPolynomial, RappParameters, basis_rows, rapp_am_am, rapp_response
 
@@ -215,6 +222,40 @@ def build_prior(config: PriorConfig, dist: RappDistribution) -> PriorStatistics:
     return prior_from_fits(fit_realizations(config, dist), config.mode)
 
 
+@dataclass(frozen=True, eq=False)
+class CsvTable:
+    """Numeric table serialized with ``digits`` significant digits and bare line-feed line ends."""
+
+    header: tuple
+    rows: np.ndarray
+    digits: int = 9
+
+    def __post_init__(self) -> None:
+        rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        if rows.shape[1] != len(self.header):
+            raise DimensionMismatchError("row width must match the header")
+        object.__setattr__(self, "header", tuple(self.header))
+        object.__setattr__(self, "rows", rows)
+
+    def column(self, name: str) -> np.ndarray:
+        return self.rows[:, self.header.index(name)]
+
+    def to_csv(self) -> str:
+        lines = [",".join(self.header)]
+        for row in self.rows:
+            lines.append(",".join(format(value, f".{self.digits}g") for value in row))
+        return "\n".join(lines) + "\n"
+
+    def write(self, path) -> None:
+        with open(path, "w", newline="") as handle:
+            handle.write(self.to_csv())
+
+
+def _complex_columns(matrix: np.ndarray) -> np.ndarray:
+    """Real columns ``re_0, im_0, re_1, im_1, ...`` of a 2-D complex matrix."""
+    return np.stack([matrix.real, matrix.imag], axis=-1).reshape(len(matrix), -1)
+
+
 _MEAN_HEADER = ("index", "re", "im")
 
 
@@ -224,20 +265,11 @@ def _covariance_header(order: int) -> tuple:
 
 
 def save_prior(prior: PriorStatistics, mean_path, cov_path) -> None:
-    """Write the prior as a CSV pair: mean (index, re, im) and row-major covariance."""
-    with open(mean_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_MEAN_HEADER)
-        for i, value in enumerate(prior.mean):
-            writer.writerow([i, format(value.real, ".17g"), format(value.imag, ".17g")])
-    with open(cov_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_covariance_header(prior.order))
-        for row in prior.covariance:
-            cells = []
-            for value in row:
-                cells += [format(value.real, ".17g"), format(value.imag, ".17g")]
-            writer.writerow(cells)
+    """Write the prior as two 17-digit :class:`CsvTable` files, which :func:`load_prior` reads
+    back exactly: the mean (index, re, im) and the row-major covariance (re/im interleaved)."""
+    mean = np.column_stack([np.arange(prior.order), _complex_columns(prior.mean[:, None])])
+    CsvTable(_MEAN_HEADER, mean, digits=17).write(mean_path)
+    CsvTable(_covariance_header(prior.order), _complex_columns(prior.covariance), digits=17).write(cov_path)
 
 
 def read_csv_table(path, header: tuple, label: str) -> np.ndarray:

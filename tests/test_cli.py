@@ -75,6 +75,29 @@ def test_fig4_deterministic_across_runs(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_outputs_end_lines_in_bare_line_feeds(tmp_path):
+    prior = build_prior(PriorConfig(50, 3, mode="coherent", seed=0), RappDistribution())
+    save_prior(prior, tmp_path / "mean.csv", tmp_path / "cov.csv")
+    (tmp_path / "obs.csv").write_text("index,re,im\n0,0.4,0\n1,0.7,0.1\n2,0.9,-0.1\n")
+    # estimate reads the pilots that the design command below writes first.
+    estimate = ["estimate", str(tmp_path / "design.csv"), str(tmp_path / "obs.csv"), "--order", "3", "--sigma2", "0.1"]
+    prior_files = ["--prior-mean", str(tmp_path / "mean.csv"), "--prior-cov", str(tmp_path / "cov.csv")]
+    commands = {
+        "fig1": ["fig1"],
+        "fig2": ["fig2"],
+        "fig3": ["fig3", "--realizations", "20"],
+        "fig4": ["fig4", "--realizations", "20", "--snr-db-list", "0,30"],
+        "design": ["design", "--order", "3", "--pilots", "3"],
+        "design_uniform": ["design", "--order", "3", "--pilots", "3", "--allocation", "uniform"],
+        "estimate": estimate,
+        "estimate_prior": [*estimate, *prior_files],
+    }
+    for name, argv in commands.items():
+        assert cli.main([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    for path in tmp_path.iterdir():
+        assert b"\r" not in path.read_bytes(), path.name
+
+
 def test_estimate_round_trip(tmp_path):
     pilots_path = tmp_path / "pilots.csv"
     obs_path = tmp_path / "obs.csv"

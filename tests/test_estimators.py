@@ -19,6 +19,7 @@ from patrain import (
     RappParameters,
     allocate_pilots,
     build_design_matrix,
+    d_criterion,
     exchange_search_verify,
     generate_noisy_observations,
     legendre_derivative_roots,
@@ -91,9 +92,13 @@ def test_ls_rejects_repeated_magnitudes():
 
 
 def test_ls_rejects_underdetermined_system():
-    phi = build_design_matrix(PilotSequence([1.0]), 2)
-    with pytest.raises(RankDeficiencyError):
-        ls_estimate(phi, np.zeros(1, dtype=complex), sigma2=1.0)
+    # One pilot, or none, for two coefficients: the rank test sees a zero
+    # singular value, so the condition number reads inf.
+    for amplitudes in ([1.0], []):
+        phi = build_design_matrix(PilotSequence(amplitudes), 2)
+        with pytest.raises(RankDeficiencyError, match="condition number inf"):
+            ls_estimate(phi, np.zeros(len(amplitudes), dtype=complex), sigma2=1.0)
+        assert d_criterion(phi, 1.0).log_det == np.inf
 
 
 def test_ls_matches_naive_normal_equations():

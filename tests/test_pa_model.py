@@ -11,6 +11,7 @@ from patrain import (
     eval_polynomial,
     prediction_covariance,
     rapp_response,
+    uniform_pilots,
 )
 from patrain.pa_model import basis_rows
 
@@ -44,6 +45,17 @@ def test_eval_polynomial_phase_homogeneity():
         theta = rng.uniform(0, 2 * np.pi)
         rotated = eval_polynomial(model, s * np.exp(1j * theta))
         assert_allclose(rotated, np.exp(1j * theta) * eval_polynomial(model, s), rtol=1e-12)
+
+
+@pytest.mark.parametrize("order", range(1, 16))
+def test_eval_polynomial_equals_design_matrix_product(order):
+    # The estimators model noise-free observations as Phi beta, so the model
+    # evaluates to that product bit for bit, not merely within round-off.
+    rng = np.random.default_rng(1)
+    beta = rng.normal(size=order) + 1j * rng.normal(size=order)
+    pilots = uniform_pilots(2 * order)
+    expected = build_design_matrix(pilots, order) @ beta
+    assert np.array_equal(eval_polynomial(PaPolynomial(beta), pilots.symbols), expected)
 
 
 def test_design_matrix_single_unit_pilot():

@@ -155,7 +155,20 @@ def test_prior_csv_round_trip(tmp_path):
     mean_path = tmp_path / "prior_mean.csv"
     cov_path = tmp_path / "prior_cov.csv"
     save_prior(prior, mean_path, cov_path)
+    assert b"\r" not in mean_path.read_bytes() + cov_path.read_bytes()
     restored = load_prior(mean_path, cov_path)
+    assert np.array_equal(restored.mean, prior.mean)
+    assert np.array_equal(restored.covariance, prior.covariance)
+
+
+def test_prior_csv_with_crlf_line_ends_loads_the_same(tmp_path):
+    # Older versions wrote the same cells with csv.writer, ending each line in \r\n.
+    prior = build_prior(PriorConfig(25, 5, mode="noncoherent", seed=13), RappDistribution())
+    save_prior(prior, tmp_path / "mean.csv", tmp_path / "cov.csv")
+    for name in ("mean.csv", "cov.csv"):
+        crlf = (tmp_path / name).read_bytes().replace(b"\n", b"\r\n")
+        (tmp_path / f"crlf_{name}").write_bytes(crlf)
+    restored = load_prior(tmp_path / "crlf_mean.csv", tmp_path / "crlf_cov.csv")
     assert np.array_equal(restored.mean, prior.mean)
     assert np.array_equal(restored.covariance, prior.covariance)
 
