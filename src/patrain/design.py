@@ -98,7 +98,7 @@ def d_criterion(design: np.ndarray, sigma2: float) -> DesignCriterionValue:
     :func:`ls_estimate` raises, yields an infinite value.
     """
     try:
-        s = _factor(design).singular_values(sigma2)
+        s = _factor(design).singular_values([sigma2])[:, 0]
     except RankDeficiencyError:
         return DesignCriterionValue(np.inf)
     return DesignCriterionValue(float(s.size * np.log(sigma2) - 2.0 * np.sum(np.log(s))))

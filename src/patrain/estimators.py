@@ -12,11 +12,15 @@ The exact maximum prediction MSE is a root-finding problem on the factor: the
 MSE is a polynomial of degree ``2L`` in the amplitude, fixed by its values at
 ``2L + 1`` Chebyshev nodes, and one product with a constant matrix, built once
 per degree, takes those values to the coefficients of its derivative, whose
-roots are the eigenvalues of a colleague matrix, also cached per degree.
+roots are the eigenvalues of a colleague matrix, also cached per degree.  The
+monomial rows at the nodes are cached per order and amplitude cap, and the
+weights of every noise variance come from array operations, so a call is one
+pass whether it is given one variance or a sweep.
 """
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +56,7 @@ def _require_noise_variance(sigma2: float) -> None:
 
 def _require_finite(values: np.ndarray, label: str) -> np.ndarray:
     values = np.asarray(values, dtype=complex)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonFiniteInputError(f"{label} holds NaN or infinite entries")
     return values
 
@@ -173,17 +177,29 @@ class _Factor:
     basis: np.ndarray
     regularized: bool
 
-    def singular_values(self, sigma2: float) -> np.ndarray:
-        """Singular values of the factored system at ``sigma2``, after its rank test.
+    def singular_values(self, sigma2s) -> np.ndarray:
+        """Singular values of the factored system, one column per noise variance
+        in ``sigma2s``, after each one's noise check and the one rank test.
 
-        The one rank test is ``cond >= CONDITION_LIMIT``, written without
-        dividing by zero; a system with no direction left passes.
+        The rank test is ``cond >= CONDITION_LIMIT``, written without dividing
+        by zero; a system with no direction left passes.  Every column is taken
+        with array operations, and the first ``sigma2`` in input order that
+        fails either check raises.
         """
-        _require_noise_variance(sigma2)
-        sv = np.hypot(self.s, math.sqrt(sigma2)) if self.regularized else self.s
-        # s comes sorted in descending order, and so does sv.
-        if sv.size and not sv[-1] * CONDITION_LIMIT > sv[0]:
-            cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0 else math.inf
+        sigma2s = np.asarray(sigma2s, dtype=float)
+        # The comparisons are False for NaN, and the abs keeps the square root
+        # quiet on a negative sigma2, which fails the noise check anyway.
+        valid = (sigma2s >= _SMALLEST_NORMAL) & (sigma2s < math.inf)
+        if self.regularized:
+            sv = np.hypot(self.s[:, None], np.sqrt(np.abs(sigma2s)))
+        else:
+            sv = self.s[:, None].repeat(sigma2s.size, axis=1)
+        # s comes sorted in descending order, and so does every column of sv.
+        passed = valid & (sv[-1] * CONDITION_LIMIT > sv[0]) if sv.shape[0] else valid
+        if not passed.all():
+            j = int(passed.argmin())
+            _require_noise_variance(float(sigma2s[j]))
+            cond = float(sv[0, j]) / float(sv[-1, j]) if sv[-1, j] > 0 else math.inf
             raise RankDeficiencyError(
                 f"condition number {cond:.3e} of the factored system reaches {CONDITION_LIMIT:.0e}; "
                 "LS needs at least L pilots with distinct magnitudes"
@@ -196,72 +212,88 @@ class _Factor:
         It is ``sigma2 z z^H`` with ``z = rows @ root`` and the root ``T V / sv``.
         """
         with np.errstate(all="ignore"):
-            root = self.basis / self.singular_values(sigma2)
+            root = self.basis / self.singular_values([sigma2])[:, 0]
             z = root if rows is None else rows @ root
             cov = sigma2 * (z @ z.conj().T)
             return _require_finite_result(0.5 * (cov + cov.conj().T), "error covariance")
 
     def update(self, residual: np.ndarray, sigma2: float) -> np.ndarray:
         """``T V diag(s / sv^2) U^H residual``: the LS estimate, or the LMMSE step from the mean."""
-        sv = self.singular_values(sigma2)
+        sv = self.singular_values([sigma2])[:, 0]
         m = self.u.shape[1]
         return self.basis[:, :m] @ (self.s[:m] / sv[:m] ** 2 * (self.u.conj().T @ residual))
 
     def weights(self, sigma2s) -> np.ndarray:
-        """``sigma2 / sv^2`` per direction (rows) and noise variance (columns);
-        every ``sigma2`` passes its own noise check and rank test."""
-        weights = np.zeros((self.s.size, len(sigma2s)))
-        with np.errstate(all="ignore"):
-            for j, sigma2 in enumerate(sigma2s):
-                weights[:, j] = sigma2 / self.singular_values(sigma2) ** 2
-        return weights
+        """``sigma2 / sv^2`` per direction (rows) and noise variance (columns).
 
-    def weighted_mse(self, amplitudes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``MSE(a) = sum_i |f(a)^T T v_i|^2 w_i`` with the monomial rows ``f(a) = (a, ..., a^L)``."""
-        with np.errstate(all="ignore"):
-            rows = basis_rows(amplitudes, self.basis.shape[0])
-            return _require_finite_result(np.abs(rows @ self.basis) ** 2 @ weights, "prediction MSE")
+        A weight that overflows is ``inf``, so the callers take it under
+        ``np.errstate`` and check the MSE it scales.
+        """
+        sigma2s = np.asarray(sigma2s, dtype=float)
+        return sigma2s / self.singular_values(sigma2s) ** 2
 
     def mse(self, amplitudes, sigma2s) -> np.ndarray:
-        """Prediction MSE at real nonnegative amplitudes (rows) for each noise variance (columns)."""
-        weights = self.weights(sigma2s)
-        return self.weighted_mse(np.atleast_1d(np.asarray(amplitudes, dtype=float)), weights)
+        """Prediction MSE ``sum_i |f(a)^T T v_i|^2 w_i`` at real nonnegative amplitudes (rows)
+        for each noise variance (columns), with the monomial rows ``f(a) = (a, ..., a^L)``."""
+        amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
+        with np.errstate(all="ignore"):
+            weights = self.weights(sigma2s)
+            values = np.abs(basis_rows(amplitudes, self.basis.shape[0]) @ self.basis) ** 2 @ weights
+        return _require_finite_result(values, "prediction MSE")
 
     def max_mse(self, max_amplitude: float, sigma2s) -> tuple[np.ndarray, np.ndarray]:
         """Maximal prediction MSE over ``[0, max_amplitude]`` for each noise variance,
         and the amplitude where each maximum sits.
 
-        The node values of every ``sigma2`` come from one product and go to the
-        derivative coefficients in one more (:func:`_derivative_map`); each
-        column then takes its roots from a copy of the cached colleague matrix
-        (:func:`_derivative_roots`), and the endpoints and the clipped roots
-        are scored with the weights already taken.
+        The node rows, the node-to-derivative map and the candidate powers come
+        from the plan cached per ``(order, max_amplitude)`` (:func:`_node_plan`).
+        The node values of every ``sigma2`` go to the derivative coefficients in
+        one product; each column then takes its roots from a copy of the cached
+        colleague matrix (:func:`_derivative_roots`), and the endpoints and the
+        clipped roots are scored with the weights already taken.
         """
-        weights = self.weights(sigma2s)
-        nodes, slope_map = _derivative_map(2 * self.basis.shape[0])
+        node_rows, slope_map, powers = _node_plan(self.basis.shape[0], max_amplitude)
         half = 0.5 * max_amplitude
-        slopes = slope_map @ self.weighted_mse(half * (nodes + 1.0), weights)
-        maxima, amplitudes = np.empty(weights.shape[1]), np.empty(weights.shape[1])
-        for j in range(weights.shape[1]):
-            critical = np.clip(_derivative_roots(slopes[:, j]).real, -1.0, 1.0)
-            candidates = half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0)
-            values = self.weighted_mse(candidates, weights[:, j : j + 1])[:, 0]
-            best = int(np.argmax(values))
-            maxima[j], amplitudes[j] = values[best], candidates[best]
-        return maxima, amplitudes
+        with np.errstate(all="ignore"):
+            weights = self.weights(sigma2s)
+            maxima, amplitudes = np.empty(weights.shape[1]), np.empty(weights.shape[1])
+            slopes = slope_map @ (np.abs(node_rows @ self.basis) ** 2 @ weights)
+            _require_finite_result(slopes, "prediction MSE")
+            for j in range(weights.shape[1]):
+                roots = _derivative_roots(slopes[:, j]).real
+                points = np.empty(roots.size + 2)
+                points[:2] = -1.0, 1.0
+                np.minimum(np.maximum(roots, -1.0), 1.0, out=points[2:])
+                candidates = half * (points + 1.0)
+                # The rows of basis_rows: the candidates are nonnegative, so |a| = a.
+                column = candidates[:, None]
+                values = np.abs((column * column**powers) @ self.basis) ** 2 @ weights[:, j : j + 1]
+                best = int(values.argmax())
+                maxima[j], amplitudes[j] = values[best, 0], candidates[best]
+        return _require_finite_result(maxima, "prediction MSE"), amplitudes
+
+
+def _checked_design(design: np.ndarray, prior: PriorStatistics | None) -> np.ndarray:
+    """``design`` as a finite complex 2-D matrix, as wide as the order of ``prior`` if one is given."""
+    design = _require_finite(design, "design matrix")
+    if design.ndim != 2 or (prior is not None and design.shape[1] != prior.order):
+        raise DimensionMismatchError("design matrix must be 2-D and, with a prior, as wide as its order")
+    return design
 
 
 def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor:
-    """Factor the LS problem (no prior) or the whitened LMMSE problem with one SVD.
+    """Factor the LS problem (no prior) or the whitened LMMSE problem with one SVD."""
+    return _svd_factor(_checked_design(design, prior), prior)
+
+
+def _svd_factor(design: np.ndarray, prior: PriorStatistics | None) -> _Factor:
+    """The factor of a design that :func:`_checked_design` passed.
 
     LS takes the SVD of ``Phi``.  LMMSE takes that of ``Phi T``, where ``T`` is
     the prior root kept by :class:`PriorStatistics`.  With more columns than pilots
     the full ``V`` is taken and ``s`` padded with zeros, so an LS system with too few
     pilots fails the one rank test, :meth:`_Factor.singular_values`, with cond ``inf``.
     """
-    design = _require_finite(design, "design matrix")
-    if design.ndim != 2 or (prior is not None and design.shape[1] != prior.order):
-        raise DimensionMismatchError("design matrix must be 2-D and, with a prior, as wide as its order")
     whitened = design if prior is None else design @ prior._whiten
     k = whitened.shape[1]
     u, s, vh = np.linalg.svd(whitened, full_matrices=len(design) < k)
@@ -270,14 +302,20 @@ def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor
 
 
 def _monomial_factor(design: np.ndarray, prior: PriorStatistics | None) -> _Factor:
-    """The factor of ``design`` if its columns are ``s |s|^(l-1)`` of the first, within 1e-12
-    of its largest entry: the MSE functions build monomial prediction rows."""
-    factor = _factor(design, prior)
-    design = np.asarray(design, dtype=complex)
-    rows = basis_rows(design[:, 0], design.shape[1]) if design.shape[1] else design
-    if np.abs(design - rows).max(initial=0.0) > 1e-12 * np.abs(design).max(initial=0.0):
+    """The factor of ``design`` if it has a column and its columns are ``s |s|^(l-1)``
+    of the first, within 1e-12 of its largest entry: the MSE functions build
+    monomial prediction rows, here with the operations of :func:`basis_rows`."""
+    design = _checked_design(design, prior)
+    if design.shape[1] < 1:
+        raise InvalidInputError("order must be >= 1")
+    first = design[:, :1]
+    rows = first * np.abs(first) ** np.arange(design.shape[1])
+    # A design built by basis_rows matches these rows exactly, so the largest
+    # entry is read only when they differ.
+    excess = np.abs(design - rows).max(initial=0.0)
+    if excess and excess > 1e-12 * np.abs(design).max(initial=0.0):
         raise InvalidInputError("columns are not s|s|^(l-1) of the first; other bases need prediction_covariance")
-    return factor
+    return _svd_factor(design, prior)
 
 
 def _check_observations(design: np.ndarray, observations: np.ndarray) -> np.ndarray:
@@ -385,6 +423,21 @@ def _derivative_map(degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
+def _node_plan(order: int, max_amplitude: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :meth:`_Factor.max_mse` reuses per order and amplitude cap: the rows
+    :func:`basis_rows` builds at the ``2 order + 1`` Chebyshev nodes of
+    ``[0, max_amplitude]``, cast to complex once, the map of
+    :func:`_derivative_map`, and the powers ``0, ..., order - 1`` of the
+    candidate rows.  The arrays are read-only, since every caller shares them.
+    """
+    nodes, slope_map = _derivative_map(2 * order)
+    node_rows = basis_rows(0.5 * max_amplitude * (nodes + 1.0), order).astype(complex)
+    powers = np.arange(order, dtype=float)
+    node_rows.flags.writeable = powers.flags.writeable = False
+    return node_rows, slope_map, powers
+
+
+@functools.lru_cache(maxsize=16)
 def _colleague(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """The colleague matrix of a degree-``degree`` Chebyshev series before its
     coefficients enter, and the scale of their column, as
@@ -448,13 +501,18 @@ def max_prediction_mse(
     each ``sigma2``'s coefficients enter one column of a copy of it, and one
     eigensolve per ``sigma2`` takes the roots.  Every candidate is then
     evaluated by the MSE itself.
+
+    The node rows are cached per order and real ``max_amplitude``
+    (:func:`_node_plan`), and one number is the one-entry sweep: the weights
+    of every ``sigma2`` take their noise check and rank test as arrays, and
+    the first ``sigma2`` that fails raises.
     """
-    if not 0 < max_amplitude < math.inf:
-        raise InvalidInputError("max_amplitude must be positive and finite")
+    if not (isinstance(max_amplitude, numbers.Real) and 0 < max_amplitude < math.inf):
+        raise InvalidInputError("max_amplitude must be a positive and finite real number")
     sigma2s = np.asarray(sigma2, dtype=float)
     if sigma2s.ndim > 1 or sigma2s.size == 0:
         raise DimensionMismatchError("sigma2 must be a number or a nonempty 1-D array")
-    maxima, _ = _monomial_factor(design, prior).max_mse(max_amplitude, np.atleast_1d(sigma2s).tolist())
+    maxima, _ = _monomial_factor(design, prior).max_mse(float(max_amplitude), sigma2s.reshape(-1))
     return float(maxima[0]) if sigma2s.ndim == 0 else maxima
 
 

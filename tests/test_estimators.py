@@ -32,7 +32,7 @@ from patrain import (
     rapp_response,
     uniform_pilots,
 )
-from patrain.estimators import _colleague, _derivative_map, _derivative_roots, _factor
+from patrain.estimators import _colleague, _derivative_map, _derivative_roots, _factor, _node_plan
 from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig3, snr_db_to_sigma2
 from patrain.pa_model import basis_rows
 from patrain.prior import (
@@ -367,6 +367,38 @@ def test_max_prediction_mse_rejects_invalid_amplitude_cap(cap):
         max_prediction_mse(phi, 1.0, max_amplitude=cap)
 
 
+@pytest.mark.parametrize(
+    "cap", [np.array([1.0, 2.0]), np.array([2.5]), "2.5", 1j, None], ids=["array", "one-entry", "text", "complex", "none"]
+)
+def test_max_prediction_mse_rejects_an_amplitude_cap_that_is_no_real_number(cap):
+    # An array cap used to end in a bare "truth value ... is ambiguous" ValueError.
+    phi = build_design_matrix(allocate_pilots(3, 3, max_amplitude=2.5), 3)
+    with pytest.raises(InvalidInputError, match="max_amplitude"):
+        max_prediction_mse(phi, 1.0, max_amplitude=cap)
+
+
+def test_max_prediction_mse_reads_a_numpy_cap_as_the_float_it_holds():
+    phi = build_design_matrix(uniform_pilots(10, 2.5), 5)
+    sigma2s = np.array(EQUIVALENCE_SIGMA2S)
+    for sigma2 in (0.1, sigma2s):
+        expected = max_prediction_mse(phi, sigma2, max_amplitude=2.5)
+        for cap in (np.float64(2.5), np.float32(2.5)):
+            assert np.array_equal(max_prediction_mse(phi, sigma2, max_amplitude=cap), expected)
+
+
+def test_mse_functions_reject_a_design_with_no_columns():
+    # max_prediction_mse used to end in a bare IndexError here.
+    phi = np.zeros((3, 0))
+    for call in (
+        lambda: max_prediction_mse(phi, 1.0),
+        lambda: max_prediction_mse(phi, [0.1, 1.0]),
+        lambda: mse_curve(phi, [0.0, 0.5, 1.0], 1.0),
+        lambda: prediction_mse(phi, 0.5, 1.0),
+    ):
+        with pytest.raises(InvalidInputError, match="order must be >= 1"):
+            call()
+
+
 def test_mse_functions_reject_a_design_in_another_basis():
     # Read with monomial rows, this basis-changed optimal design gave a maximum
     # MSE of 231.68 instead of sigma2 L / N = 1.
@@ -394,6 +426,8 @@ def test_mse_and_covariance_beyond_the_float_range_raise_noise_errors():
         mse_curve(phi, np.linspace(0, 1, 501), 1e300)
     with pytest.raises(InvalidNoiseError, match="overflow"):
         ls_estimate(phi, np.zeros(24), 1e300)
+    with pytest.raises(InvalidNoiseError, match="overflow"):
+        max_prediction_mse(phi, 1e300)
 
 
 def _grid_maxima(phi, sigma2, prior=None, max_amplitude=1.0, points=100_001):
@@ -501,7 +535,7 @@ def test_derivative_coefficients_match_numpy_interpolate_and_differentiate(order
 def _mse_slopes(factor, cap, sigma2s):
     """The derivative coefficients whose roots ``_Factor.max_mse`` takes."""
     nodes, slope_map = _derivative_map(2 * factor.basis.shape[0])
-    return slope_map @ factor.weighted_mse(0.5 * cap * (nodes + 1.0), factor.weights(sigma2s))
+    return slope_map @ factor.mse(0.5 * cap * (nodes + 1.0), sigma2s)
 
 
 @pytest.mark.parametrize("order", range(2, 41))
@@ -580,6 +614,52 @@ def test_max_prediction_mse_matches_interpolate_and_differentiate(order):
             assert type(value) is float
             assert value == pytest.approx(reference, rel=1e-10)
             assert from_sweep == pytest.approx(value, rel=1e-10)
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_max_prediction_mse_of_one_noise_variance_is_the_one_column_sweep(order):
+    # One code path: a scalar sigma2 is the sweep of a one-entry array, bit for bit.
+    for phi, prior, cap, _ in _equivalence_cases(order):
+        for sigma2 in EQUIVALENCE_SIGMA2S:
+            value = max_prediction_mse(phi, sigma2, prior, cap)
+            assert value == max_prediction_mse(phi, np.array([sigma2]), prior, cap)[0]
+
+
+def test_the_first_failing_noise_variance_decides_the_error():
+    # N = 2 < L = 4: the LMMSE system is rank deficient at a tiny sigma2, and
+    # NaN fails the noise check; whichever comes first in the sweep raises.
+    rng = np.random.default_rng(4)
+    prior = PriorStatistics(rng.normal(size=4), _random_hpd(rng, 4))
+    phi = build_design_matrix(uniform_pilots(2), 4)
+    factor = _factor(phi, prior)
+    for sigma2s, error in (([1e-30, np.nan], RankDeficiencyError), ([np.nan, 1e-30], InvalidNoiseError)):
+        for call in (
+            lambda: max_prediction_mse(phi, np.array(sigma2s), prior),
+            lambda: factor.mse([0.0, 0.5, 1.0], sigma2s),
+        ):
+            with pytest.raises(error):
+                call()
+
+
+@pytest.mark.parametrize("order", [2, 5, 9])
+def test_node_plan_is_built_once_per_order_and_cap(order):
+    cap = 1.0 + order / 64  # a cap no other test uses, so the first call builds it
+    phi = build_design_matrix(uniform_pilots(2 * order, cap), order)
+    before = _node_plan.cache_info()
+    first = max_prediction_mse(phi, 0.1, max_amplitude=cap)
+    assert max_prediction_mse(phi, 0.1, max_amplitude=cap) == first
+    after = _node_plan.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert after.maxsize is not None
+    node_rows, slope_map, powers = _node_plan(order, cap)
+    assert _node_plan(order, cap)[0] is node_rows
+    assert not any(array.flags.writeable for array in (node_rows, slope_map, powers))
+    nodes, cached_map = _derivative_map(2 * order)
+    assert slope_map is cached_map
+    assert np.array_equal(node_rows, basis_rows(0.5 * cap * (nodes + 1.0), order))
+    assert np.array_equal(powers, np.arange(order))
+    # The rows depend on the cap, the map and the powers do not.
+    assert not np.array_equal(_node_plan(order, 1.0)[0], _node_plan(order, 2.5)[0])
 
 
 @pytest.mark.parametrize("order", range(2, 9))
