@@ -10,6 +10,7 @@ the Kiefer-Wolfowitz equivalence theorem certifies what it finds, since at the
 D-optimum the largest prediction MSE over [0, 1] is ``sigma2 L / N``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,20 @@ def d_criterion(design: np.ndarray, sigma2: float) -> DesignCriterionValue:
     return DesignCriterionValue(float(s.size * np.log(sigma2) - 2.0 * np.sum(np.log(s))))
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_rows(order: int, grid_resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exchange grid over [0, 1] and its shifted Legendre rows ``t P_k(2t - 1)``, read-only.
+
+    Each entry holds ``(grid_resolution + 1) (order + 1)`` floats: 168 KB at
+    the default 1000-step grid and ``L = 20``, so the eight entries kept hold
+    1.3 MB at such sizes.
+    """
+    grid = np.linspace(0.0, 1.0, grid_resolution + 1)
+    basis = grid[:, None] * np.polynomial.legendre.legvander(2.0 * grid - 1.0, order - 1)
+    grid.flags.writeable = basis.flags.writeable = False
+    return grid, basis
+
+
 def exchange_search_verify(
     order: int,
     n_pilots: int,
@@ -118,19 +133,25 @@ def exchange_search_verify(
     the most, until a sweep moves no pilot.  Returns the design found and its
     criterion value at unit noise variance.
 
-    The search runs in the shifted Legendre basis ``t P_k(2t - 1)``, which
-    changes every log-determinant by the same constant, so the same moves win.
-    With ``M`` the information matrix of the current pilots and
-    ``d(x, y) = f(x)^T M^-1 f(y)``, replacing pilot ``x_j`` by ``x`` scales the
-    determinant by ``(1 + d(x))(1 - d(x_j)) + d(x, x_j)^2`` (Fedorov, 1972);
-    all candidates are scored from one product with the inverse of the
-    triangular factor of the current pilots' basis rows: one ``L x L`` inverse,
-    not a solve with one right-hand side per grid point.  That factor and
-    inverse are taken again only after a move, since a step that moves no pilot
-    leaves them unchanged.  A move counts only if it raises the determinant by
-    more than ``EXCHANGE_MIN_GAIN`` relative.  At the optimum the
-    Kiefer-Wolfowitz bound ``max_t d(t) = L / N`` holds up to the grid spacing,
-    which ``max_prediction_mse`` of the result shows.
+    The search runs in the shifted Legendre basis ``f(t) = t P_k(2t - 1)``,
+    which changes every log-determinant by the same constant, so the same
+    moves win.  With ``M`` the information matrix of the current pilots and
+    ``d(x, y) = f(x)^T M^-1 f(y)``, replacing pilot ``p`` by ``x`` scales the
+    determinant by ``(1 + d(x))(1 - d(p)) + d(x, p)^2`` (Fedorov, 1972), so
+    one visit scores every grid point from ``W = M^-1 F^T`` (``F`` the grid
+    rows) and the dispersions ``d``.  Both come from one QR of the start
+    design, ``W = R^-1 R^-T F^T``.  A move ``p -> q`` then updates them by two
+    Sherman-Morrison steps, adding ``f(q)`` and then removing ``f(p)``: with
+    ``c = F W[:, q]``, ``W -= W[:, q] c^T / (1 + d(q))`` and
+    ``d -= c^2 / (1 + d(q))``; then with ``c = F W[:, p]``,
+    ``W += W[:, p] c^T / (1 - d(p))`` and ``d += c^2 / (1 - d(p))``.  The
+    second divisor is positive: removing ``f(p)`` scales the determinant by
+    ``1 - d(p)``, and an accepted move ends above the positive ``det M`` it
+    started from.  A move counts only if it raises the determinant by more than
+    ``EXCHANGE_MIN_GAIN`` relative.  At the optimum the Kiefer-Wolfowitz bound
+    ``max_t d(t) = L / N`` holds up to the grid spacing, which
+    ``max_prediction_mse`` of the result shows.  The grid rows are cached per
+    ``(order, grid_resolution)`` (:func:`_grid_rows`).
 
     Raises :class:`InvalidInputError` for a negative ``seed``,
     :class:`RankDeficiencyError` when the start design is singular and
@@ -141,30 +162,36 @@ def exchange_search_verify(
         raise InvalidInputError("grid_resolution must be >= 100")
     _multiplicity(order, n_pilots)  # validates the multiplicity up front
     rng = _seeded_rng(seed)
-    grid = np.linspace(0.0, 1.0, grid_resolution + 1)
-    basis = grid[:, None] * np.polynomial.legendre.legvander(2.0 * grid - 1.0, order - 1)
+    grid, basis = _grid_rows(order, grid_resolution)
     index = np.rint(np.arange(1, n_pilots + 1) / n_pilots * grid_resolution).astype(int)
     # Moves only raise the determinant, so a regular start stays regular.
     if d_criterion(basis[index], 1.0).log_det == np.inf:
         raise RankDeficiencyError(
             f"exchange start on {grid_resolution + 1} grid points is singular at order {order}"
         )
-    z = None
+    r = np.linalg.qr(basis[index], mode="r")
+    # Column y of w is M^-1 f(y) with M = R^T R, so d(x, y) = f(x) . w[:, y].
+    r_inv = np.linalg.inv(r)
+    z = r_inv.T @ basis.T
+    w = r_inv @ z
+    d = np.einsum("ij,ij->j", z, z)
     for _ in range(EXCHANGE_MAX_SWEEPS):
         moved = False
         for j in rng.permutation(n_pilots):
-            if z is None:
-                r = np.linalg.qr(basis[index], mode="r")
-                # Column x of z is R^-T f(x), so d(x, y) = z[:, x] . z[:, y].
-                z = np.linalg.inv(r.T) @ basis.T
-                d = np.einsum("ij,ij->j", z, z)
-            d_cross = z[:, index[j]] @ z
-            ratio = (1.0 + d) * (1.0 - d[index[j]]) + d_cross**2
-            choice = int(np.argmax(ratio))
-            if choice != index[j] and ratio[choice] > 1.0 + EXCHANGE_MIN_GAIN:
-                index[j] = choice
+            p = index[j]
+            d_cross = basis @ w[:, p]
+            ratio = (1.0 + d) * (1.0 - d[p]) + d_cross**2
+            q = int(ratio.argmax())
+            if q != p and ratio[q] > 1.0 + EXCHANGE_MIN_GAIN:
+                # Add f(q), then remove f(p): two Sherman-Morrison steps on w and d.
+                d_q = basis @ w[:, q]
+                w -= w[:, q, None] * (d_q / (1.0 + d[q]))
+                d -= d_q**2 / (1.0 + d[q])
+                d_p = basis @ w[:, p]
+                w += w[:, p, None] * (d_p / (1.0 - d[p]))
+                d += d_p**2 / (1.0 - d[p])
+                index[j] = q
                 moved = True
-                z = None
         if not moved:
             break
     else:

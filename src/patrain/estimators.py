@@ -201,8 +201,8 @@ class _Factor:
             _require_noise_variance(float(sigma2s[j]))
             cond = float(sv[0, j]) / float(sv[-1, j]) if sv[-1, j] > 0 else math.inf
             raise RankDeficiencyError(
-                f"condition number {cond:.3e} of the factored system reaches {CONDITION_LIMIT:.0e}; "
-                "LS needs at least L pilots with distinct magnitudes"
+                "the factored system is numerically rank deficient: "
+                f"condition number {cond:.3e} reaches CONDITION_LIMIT = {CONDITION_LIMIT:.0e}"
             )
         return sv
 

@@ -273,12 +273,13 @@ def _per_step_exchange(order, n_pilots, grid_resolution, seed):
     return pilots, d_criterion(build_design_matrix(pilots, order), 1.0)
 
 
-@pytest.mark.parametrize("order", range(2, 16))
+@pytest.mark.parametrize("order", range(2, 21))
 def test_exchange_search_factors_only_after_a_move(order):
     # The reference solves against the triangular factor on every step; the
-    # search multiplies by its inverse, and only after a move.
-    for grid_resolution in (250, 1000):
-        for n_pilots in (order, 2 * order):
+    # search factors the start design once and follows each move with two
+    # Sherman-Morrison updates of M^-1 f(x).  L = 16..20 run on the 1000 grid.
+    for grid_resolution in (250, 1000) if order <= 15 else (1000,):
+        for n_pilots in (order, 2 * order, 3 * order):
             pilots, found = exchange_search_verify(order, n_pilots, grid_resolution=grid_resolution, seed=order)
             reference_pilots, reference = _per_step_exchange(order, n_pilots, grid_resolution, order)
             assert np.array_equal(pilots.symbols, reference_pilots.symbols)
@@ -295,6 +296,21 @@ def test_exchange_search_kiefer_wolfowitz_certificate(order):
         pilots, _ = exchange_search_verify(order, n_pilots)
         bound = order / n_pilots * (1 + 2e-3)
         assert max_prediction_mse(build_design_matrix(pilots, order), 1.0) <= bound, n_pilots
+
+
+def test_exchange_grid_rows_are_built_once_per_order_and_grid():
+    order, grid_resolution = 3, 137  # a grid no other test uses, so the first call builds it
+    before = design._grid_rows.cache_info()
+    pilots, found = exchange_search_verify(order, order, grid_resolution=grid_resolution)
+    again, found_again = exchange_search_verify(order, order, grid_resolution=grid_resolution)
+    assert np.array_equal(again.symbols, pilots.symbols) and found_again == found
+    after = design._grid_rows.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert after.maxsize is not None
+    grid, basis = design._grid_rows(order, grid_resolution)
+    assert not grid.flags.writeable and not basis.flags.writeable
+    assert np.array_equal(grid, np.linspace(0.0, 1.0, grid_resolution + 1))
+    assert np.array_equal(basis, grid[:, None] * npleg.legvander(2.0 * grid - 1.0, order - 1))
 
 
 def test_exchange_search_sweep_cap_raises(monkeypatch):

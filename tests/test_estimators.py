@@ -91,6 +91,19 @@ def test_ls_rejects_repeated_magnitudes():
         ls_estimate(phi, np.zeros(2, dtype=complex), sigma2=1.0)
 
 
+def test_rank_failure_names_the_condition_number_not_the_pilots():
+    # The uniform N = L = 15 pilots have distinct magnitudes; it is their
+    # monomial design that is too ill conditioned for the rank test.
+    phi = build_design_matrix(uniform_pilots(15), 15)
+    expected = r"numerically rank deficient: condition number 2\.7\d\de\+12 reaches CONDITION_LIMIT = 1e\+12"
+    with pytest.raises(RankDeficiencyError, match=expected) as raised:
+        ls_estimate(phi, np.zeros(15, dtype=complex), sigma2=1.0)
+    assert "distinct" not in str(raised.value)
+    with pytest.raises(RankDeficiencyError, match=expected):
+        max_prediction_mse(phi, 1.0)
+    assert d_criterion(phi, 1.0).log_det == np.inf
+
+
 def test_ls_rejects_underdetermined_system():
     # One pilot, or none, for two coefficients: the rank test sees a zero
     # singular value, so the condition number reads inf.
@@ -486,6 +499,24 @@ def test_max_prediction_mse_matches_dense_grid_on_a_wider_range(allocation):
     value = max_prediction_mse(phi, 0.1, max_amplitude=cap)
     grid_max, refined_max = _grid_maxima(phi, 0.1, max_amplitude=cap)
     assert grid_max * (1 - 1e-12) <= value <= refined_max * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("order", range(2, 15))
+def test_max_prediction_mse_finds_an_interior_maximum_on_a_subrange(order):
+    # Uniform pilots on [0, 1] with the maximum taken over [0, 0.5]: N is even,
+    # so 0.5 is a pilot, and from N = 4 on the maximum sits inside (0, 0.5) at
+    # a root of the derivative rather than at an endpoint.
+    cap = 0.5
+    grid = np.linspace(0.0, cap, 400_001)
+    for n_pilots in (n for n in (order, 2 * order) if n % 2 == 0):
+        phi = build_design_matrix(uniform_pilots(n_pilots), order)
+        value = max_prediction_mse(phi, 1.0, max_amplitude=cap)
+        on_grid = mse_curve(phi, grid, 1.0).mse_values
+        grid_max = on_grid.max()
+        if n_pilots >= 4:
+            assert 0.0 < grid[on_grid.argmax()] < cap, n_pilots
+        assert value >= grid_max, n_pilots
+        assert value <= grid_max * (1 + 1e-8), n_pilots
 
 
 @st.composite
