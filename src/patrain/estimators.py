@@ -16,6 +16,12 @@ roots are the eigenvalues of a colleague matrix, also cached per degree.  The
 monomial rows at the nodes are cached per order and amplitude cap, and the
 weights of every noise variance come from array operations, so a call is one
 pass whether it is given one variance or a sweep.
+
+The SVD arrays are memoized (:func:`_svd_arrays`), keyed by the checked
+design's shape and bytes and by the prior object itself, with four entries
+kept, so consecutive calls on the same (design, prior), such as a loop over
+``sigma2``, share one factor.  The design checks and the rank test still run
+on every call.
 """
 
 import functools
@@ -127,7 +133,10 @@ class PriorStatistics:
         keep = eigenvalues > SINGULAR_PRIOR_THRESHOLD * eigenvalues.mean() if mean.size else []
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "_whiten", eigenvectors[:, keep] * np.sqrt(eigenvalues[keep]))
+        whiten = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
+        # The factor memo keys priors by identity, so the root it factors is fixed.
+        whiten.flags.writeable = False
+        object.__setattr__(self, "_whiten", whiten)
 
     @property
     def order(self) -> int:
@@ -287,18 +296,36 @@ def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor
 
 
 def _svd_factor(design: np.ndarray, prior: PriorStatistics | None) -> _Factor:
-    """The factor of a design that :func:`_checked_design` passed.
+    """The factor of a design that :func:`_checked_design` passed, a fresh
+    :class:`_Factor` over the memoized arrays of :func:`_svd_arrays`."""
+    u, s, basis = _svd_arrays(design.shape, design.tobytes(), prior)
+    return _Factor(u, s, basis, prior is not None)
+
+
+@functools.lru_cache(maxsize=4)
+def _svd_arrays(shape: tuple, data: bytes, prior: PriorStatistics | None) -> tuple:
+    """The read-only ``(u, s, basis)`` of the design with ``shape`` and bytes ``data``.
 
     LS takes the SVD of ``Phi``.  LMMSE takes that of ``Phi T``, where ``T`` is
     the prior root kept by :class:`PriorStatistics`.  With more columns than pilots
     the full ``V`` is taken and ``s`` padded with zeros, so an LS system with too few
     pilots fails the one rank test, :meth:`_Factor.singular_values`, with cond ``inf``.
+
+    The key is the design's bytes and the prior itself, which hashes by
+    identity and whose root is read-only, so consecutive calls on one (design,
+    prior), a σ² loop, share one SVD.  An entry for an ``N x L`` design holds
+    ``16 (2 N L + L^2) + 8 L`` bytes besides the prior it keeps alive: 4 KB at
+    ``L = 7, N = 14`` and 32 KB at ``L = 20, N = 40``, so the four entries kept
+    hold 128 KB at such sizes.
     """
+    design = np.frombuffer(data, dtype=complex).reshape(shape)
     whitened = design if prior is None else design @ prior._whiten
     k = whitened.shape[1]
     u, s, vh = np.linalg.svd(whitened, full_matrices=len(design) < k)
     basis = vh.conj().T if prior is None else prior._whiten @ vh.conj().T
-    return _Factor(u, np.concatenate([s, np.zeros(k - s.size)]), basis, prior is not None)
+    s = np.concatenate([s, np.zeros(k - s.size)])
+    u.flags.writeable = s.flags.writeable = basis.flags.writeable = False
+    return u, s, basis
 
 
 def _monomial_factor(design: np.ndarray, prior: PriorStatistics | None) -> _Factor:
@@ -505,7 +532,10 @@ def max_prediction_mse(
     The node rows are cached per order and real ``max_amplitude``
     (:func:`_node_plan`), and one number is the one-entry sweep: the weights
     of every ``sigma2`` take their noise check and rank test as arrays, and
-    the first ``sigma2`` that fails raises.
+    the first ``sigma2`` that fails raises.  Consecutive calls on the same
+    (design, prior), one per ``sigma2`` of a loop, share one SVD: the factor is
+    memoized by the design's shape and bytes and the prior object, four
+    entries deep (:func:`_svd_arrays`), while the checks run on every call.
     """
     if not (isinstance(max_amplitude, numbers.Real) and 0 < max_amplitude < math.inf):
         raise InvalidInputError("max_amplitude must be a positive and finite real number")

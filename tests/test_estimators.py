@@ -32,7 +32,7 @@ from patrain import (
     rapp_response,
     uniform_pilots,
 )
-from patrain.estimators import _colleague, _derivative_map, _derivative_roots, _factor, _node_plan
+from patrain.estimators import _colleague, _derivative_map, _derivative_roots, _factor, _node_plan, _svd_arrays
 from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig3, snr_db_to_sigma2
 from patrain.pa_model import basis_rows
 from patrain.prior import (
@@ -691,6 +691,103 @@ def test_node_plan_is_built_once_per_order_and_cap(order):
     assert np.array_equal(powers, np.arange(order))
     # The rows depend on the cap, the map and the powers do not.
     assert not np.array_equal(_node_plan(order, 1.0)[0], _node_plan(order, 2.5)[0])
+
+
+MEMO_KINDS = ("none", "full", "rank-deficient")
+MEMO_SIGMA2S = np.geomspace(1e-3, 1.0, 10)
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_svd_is_taken_once_per_design_and_prior(kind):
+    order = 5
+    prior = _sweep_prior(kind, order, np.random.default_rng(1))
+    phi = build_design_matrix(allocate_pilots(order, 2 * order), order)
+    _svd_arrays.cache_clear()
+    for sigma2 in MEMO_SIGMA2S:
+        max_prediction_mse(phi, sigma2, prior)
+    info = _svd_arrays.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
+    assert info.maxsize is not None
+    u, s, basis = _svd_arrays(phi.shape, phi.tobytes(), prior)
+    assert not any(array.flags.writeable for array in (u, s, basis))
+    factor = _factor(phi, prior)
+    assert factor.basis is basis and factor is not _factor(phi, prior)
+    with pytest.raises(ValueError):
+        factor.s[0] = 0.0
+    if prior is not None:
+        # The key is the prior object: an equal prior built again is a miss.
+        twin = PriorStatistics(prior.mean, prior.covariance)
+        max_prediction_mse(phi, 0.1, twin)
+        assert _svd_arrays.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_memoized_factor_gives_the_bits_of_a_fresh_one(kind):
+    order, rng = 5, np.random.default_rng(2)
+    prior = _sweep_prior(kind, order, rng)
+    phi = build_design_matrix(allocate_pilots(order, 2 * order), order)
+    r = rng.normal(size=2 * order) + 1j * rng.normal(size=2 * order)
+
+    def run():
+        fit = ls_estimate(phi, r, 0.1) if prior is None else lmmse_estimate(phi, r, 0.1, prior)
+        return [
+            *(max_prediction_mse(phi, sigma2, prior) for sigma2 in MEMO_SIGMA2S),
+            max_prediction_mse(phi, MEMO_SIGMA2S, prior),
+            mse_curve(phi, np.linspace(0.0, 1.0, 11), 0.1, prior).mse_values,
+            fit.estimate,
+            fit.error_covariance,
+        ]
+
+    run()
+    warm = run()
+    assert _svd_arrays.cache_info().hits >= len(warm)
+    for j, cached in enumerate(warm):
+        _svd_arrays.cache_clear()
+        fresh = run()[j]
+        assert np.asarray(cached).tobytes() == np.asarray(fresh).tobytes()
+
+
+def test_a_design_edited_in_place_is_factored_again():
+    order = 4
+    phi = build_design_matrix(uniform_pilots(2 * order), order)
+    other = build_design_matrix(allocate_pilots(order, 2 * order), order)
+    _svd_arrays.cache_clear()
+    before = max_prediction_mse(phi, 0.1)
+    phi[:] = other
+    after = max_prediction_mse(phi, 0.1)
+    assert _svd_arrays.cache_info().misses == 2
+    assert after != before
+    _svd_arrays.cache_clear()
+    assert after == max_prediction_mse(other.copy(), 0.1) == pytest.approx(0.1 * order / (2 * order), rel=1e-9)
+
+
+def test_design_checks_and_rank_test_run_on_every_memoized_call():
+    phi = build_design_matrix(allocate_pilots(3, 6), 3)
+    nan_design = phi.copy()
+    nan_design[0, 0] = np.nan
+    skewed = phi * np.array([1.0, 2.0, 1.0])
+    ls_estimate(skewed, np.ones(6), 0.1)  # memoizes the factor of the non-monomial design
+    singular = build_design_matrix(uniform_pilots(15), 15)
+    for design, error in (
+        (nan_design, NonFiniteInputError),
+        (skewed, InvalidInputError),
+        (singular, RankDeficiencyError),
+        (phi[:2], RankDeficiencyError),  # LS with N < L
+    ):
+        for _ in range(3):
+            with pytest.raises(error):
+                max_prediction_mse(design, 0.1)
+    hits = _svd_arrays.cache_info().hits
+    for _ in range(3):
+        with pytest.raises(RankDeficiencyError):
+            ls_estimate(singular, np.ones(15), 0.1)
+    assert _svd_arrays.cache_info().hits == hits + 3
+
+
+def test_prior_root_is_read_only():
+    prior = PriorStatistics(np.zeros(3), np.diag([1.0, 0.5, 0.0]).astype(complex))
+    with pytest.raises(ValueError):
+        prior._whiten[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("order", range(2, 9))

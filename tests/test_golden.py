@@ -4,6 +4,9 @@ import csv
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,17 @@ import pytest
 from patrain import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
+
+# Files the estimate runs read; every other CSV here is the output of its run.
+INPUTS = (
+    "estimate_pilots.csv",
+    "estimate_observations.csv",
+    "estimate_prior_mean.csv",
+    "estimate_prior_cov.csv",
+)
+ESTIMATE = ["estimate", *(str(GOLDEN / name) for name in INPUTS[:2]), "--order", "5", "--sigma2", "0.01"]
+PRIOR = ["--prior-mean", str(GOLDEN / INPUTS[2]), "--prior-cov", str(GOLDEN / INPUTS[3])]
 
 RUNS = {
     "fig1.csv": ["fig1"],
@@ -21,6 +35,8 @@ RUNS = {
     "design_uniform.csv": ["design", "--allocation", "uniform"],
     "fig1_order12_pilots24.csv": ["fig1", "--order", "12", "--pilots", "24"],
     "fig4_order12_pilots12.csv": ["fig4", "--order", "12", "--pilots", "12"],
+    "estimate_ls.csv": ESTIMATE,
+    "estimate_lmmse.csv": [*ESTIMATE, *PRIOR],
 }
 
 
@@ -63,7 +79,25 @@ def test_cli_output_matches_its_golden_file(name, tmp_path):
 
 
 def test_every_golden_file_has_a_run():
-    assert sorted(path.name for path in GOLDEN.glob("*.csv")) == sorted(RUNS)
+    assert sorted(path.name for path in GOLDEN.glob("*.csv")) == sorted([*RUNS, *INPUTS])
+    read = {Path(arg).name for args in RUNS.values() for arg in args}
+    assert read >= set(INPUTS)
+
+
+def test_golden_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads, hence the child.
+    code = (
+        f"import sys\nfrom patrain import cli\nRUNS = {RUNS!r}\n"
+        "for name, args in RUNS.items():\n"
+        "    assert cli.main([*args, '--out', sys.argv[1] + '/' + name]) == 0\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True, timeout=60)
+    for name in RUNS:
+        expected, actual = (GOLDEN / name).read_bytes(), (tmp_path / name).read_bytes()
+        if actual != expected:
+            pytest.fail(f"{name} with 2 BLAS threads:\n{_changed_cells(expected.decode(), actual.decode())}")
 
 
 def test_changed_cells_names_each_cell_and_the_largest_change():
