@@ -10,12 +10,13 @@ D-criterion all follow in closed form, and one factor serves a whole SNR sweep.
 
 The exact maximum prediction MSE is a root-finding problem on the factor: the
 MSE is a polynomial of degree ``2L`` in the amplitude, fixed by its values at
-``2L + 1`` Chebyshev nodes, and one product with a constant matrix, built once
-per degree, takes those values to the coefficients of its derivative, whose
-roots are the eigenvalues of a colleague matrix, also cached per degree.  The
-monomial rows at the nodes are cached per order and amplitude cap, and the
-weights of every noise variance come from array operations, so a call is one
-pass whether it is given one variance or a sweep.
+``2L + 1`` Chebyshev nodes.  One plan per order and amplitude cap
+(:class:`_NodePlan`) holds the monomial rows at those nodes, the matrix that
+takes the node values to the Chebyshev coefficients of the derivative, and the
+colleague matrix whose eigenvalues are that derivative's roots.  The weights of
+every noise variance come from array operations, and each variance then takes
+one eigensolve, so a call is one pass whether it is given one variance or a
+sweep.
 
 The SVD arrays are memoized (:func:`_svd_arrays`), keyed by the checked
 design's shape and bytes and by the prior object itself, with four entries
@@ -241,42 +242,45 @@ class _Factor:
         sigma2s = np.asarray(sigma2s, dtype=float)
         return sigma2s / self.singular_values(sigma2s) ** 2
 
+    def _weighted_mse(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``|rows @ T V|^2 @ weights``: the MSE of the prediction rows (rows) for
+        each column of :meth:`weights`, the one evaluator of every MSE here."""
+        return np.abs(rows @ self.basis) ** 2 @ weights
+
     def mse(self, amplitudes, sigma2s) -> np.ndarray:
         """Prediction MSE ``sum_i |f(a)^T T v_i|^2 w_i`` at real nonnegative amplitudes (rows)
         for each noise variance (columns), with the monomial rows ``f(a) = (a, ..., a^L)``."""
         amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
         with np.errstate(all="ignore"):
-            weights = self.weights(sigma2s)
-            values = np.abs(basis_rows(amplitudes, self.basis.shape[0]) @ self.basis) ** 2 @ weights
+            values = self._weighted_mse(basis_rows(amplitudes, self.basis.shape[0]), self.weights(sigma2s))
         return _require_finite_result(values, "prediction MSE")
 
     def max_mse(self, max_amplitude: float, sigma2s) -> tuple[np.ndarray, np.ndarray]:
         """Maximal prediction MSE over ``[0, max_amplitude]`` for each noise variance,
         and the amplitude where each maximum sits.
 
-        The node rows, the node-to-derivative map and the candidate powers come
-        from the plan cached per ``(order, max_amplitude)`` (:func:`_node_plan`).
         The node values of every ``sigma2`` go to the derivative coefficients in
-        one product; each column then takes its roots from a copy of the cached
-        colleague matrix (:func:`_derivative_roots`), and the endpoints and the
-        clipped roots are scored with the weights already taken.
+        one product with the map of the plan cached per ``(order,
+        max_amplitude)`` (:func:`_node_plan`).  Each column then takes its
+        roots from the plan's colleague matrix (:meth:`_NodePlan.roots`), and
+        the endpoints and the clipped roots are scored with the weights already
+        taken.
         """
-        node_rows, slope_map, powers = _node_plan(self.basis.shape[0], max_amplitude)
+        order = self.basis.shape[0]
+        plan = _node_plan(order, max_amplitude)
         half = 0.5 * max_amplitude
         with np.errstate(all="ignore"):
             weights = self.weights(sigma2s)
             maxima, amplitudes = np.empty(weights.shape[1]), np.empty(weights.shape[1])
-            slopes = slope_map @ (np.abs(node_rows @ self.basis) ** 2 @ weights)
+            slopes = plan.slope_map @ self._weighted_mse(plan.node_rows, weights)
             _require_finite_result(slopes, "prediction MSE")
             for j in range(weights.shape[1]):
-                roots = _derivative_roots(slopes[:, j]).real
+                roots = plan.roots(slopes[:, j]).real
                 points = np.empty(roots.size + 2)
                 points[:2] = -1.0, 1.0
                 np.minimum(np.maximum(roots, -1.0), 1.0, out=points[2:])
                 candidates = half * (points + 1.0)
-                # The rows of basis_rows: the candidates are nonnegative, so |a| = a.
-                column = candidates[:, None]
-                values = np.abs((column * column**powers) @ self.basis) ** 2 @ weights[:, j : j + 1]
+                values = self._weighted_mse(basis_rows(candidates, order), weights[:, j : j + 1])
                 best = int(values.argmax())
                 maxima[j], amplitudes[j] = values[best, 0], candidates[best]
         return _require_finite_result(maxima, "prediction MSE"), amplitudes
@@ -331,12 +335,11 @@ def _svd_arrays(shape: tuple, data: bytes, prior: PriorStatistics | None) -> tup
 def _monomial_factor(design: np.ndarray, prior: PriorStatistics | None) -> _Factor:
     """The factor of ``design`` if it has a column and its columns are ``s |s|^(l-1)``
     of the first, within 1e-12 of its largest entry: the MSE functions build
-    monomial prediction rows, here with the operations of :func:`basis_rows`."""
+    monomial prediction rows with :func:`basis_rows`."""
     design = _checked_design(design, prior)
     if design.shape[1] < 1:
         raise InvalidInputError("order must be >= 1")
-    first = design[:, :1]
-    rows = first * np.abs(first) ** np.arange(design.shape[1])
+    rows = basis_rows(design[:, 0], design.shape[1])
     # A design built by basis_rows matches these rows exactly, so the largest
     # entry is read only when they differ.
     excess = np.abs(design - rows).max(initial=0.0)
@@ -423,86 +426,75 @@ def mse_curve(
     return MseCurve(amplitudes, _monomial_factor(design, prior).mse(amplitudes, [sigma2])[:, 0])
 
 
-@functools.lru_cache(maxsize=16)
-def _derivative_map(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev nodes on ``[-1, 1]`` and the matrix taking values there to the
-    Chebyshev coefficients of the derivative of the degree-``degree`` interpolant.
+class _NodePlan:
+    """What :meth:`_Factor.max_mse` reuses per order ``L`` and amplitude cap.
 
-    The ``n = degree + 1`` first-kind nodes are ``x_j = cos(theta_j)``,
-    ``theta_j = pi (j + 1/2) / n``.  The interpolant of values ``v_j`` has the
-    cosine sums ``c_k = (2/n) sum_j cos(k theta_j) v_j``, with ``c_0`` halved,
-    and its derivative ``d_i = sum_{j > i, j - i odd} 2 j c_j``, with ``d_0``
-    halved (Mason & Handscomb, *Chebyshev Polynomials*, 2003, §2.4).  Both maps
-    are folded into one ``(n - 1, n)`` matrix.  The arrays depend on the degree
-    only and are read-only, since every caller shares them; the cache is
-    bounded, as each entry holds ``degree (degree + 1)`` floats.
+    - ``node_rows``: the rows :func:`basis_rows` builds at the ``n = 2L + 1``
+      first-kind Chebyshev nodes of ``[0, max_amplitude]``, cast to complex once.
+      On ``[-1, 1]`` the nodes are ``x_j = cos(theta_j)``,
+      ``theta_j = pi (j + 1/2) / n``.
+    - ``slope_map``: the ``(n - 1, n)`` matrix taking values ``v_j`` at the nodes
+      to the Chebyshev coefficients of the derivative of their interpolant.  The
+      interpolant has the cosine sums ``c_k = (2/n) sum_j cos(k theta_j) v_j``,
+      with ``c_0`` halved, and its derivative ``d_i = sum_{j > i, j - i odd} 2 j
+      c_j``, with ``d_0`` halved (Mason & Handscomb, *Chebyshev Polynomials*,
+      2003, §2.4); both maps are folded into one matrix.
+    - ``colleague`` and ``scale``: the colleague matrix of a degree-``2L - 1``
+      series before its coefficients enter, and the scale of their column, as
+      ``numpy.polynomial.chebyshev.chebcompanion`` builds them.  The matrix is
+      stored rotated by 180 degrees, as numpy's Chebyshev root finder rotates
+      it before its eigensolve, so the coefficients enter its first column,
+      last coefficient first.  The colleague matrix of a lower degree ``d`` is
+      its trailing ``d x d`` block, with the first ``d`` entries of ``scale``.
+
+    The arrays are read-only, since every caller shares them.  A plan holds
+    about ``12 L^2`` floats, 150 KB at ``L = 40``, and sixteen are kept.
     """
-    k = np.arange(degree + 1)
-    theta = np.pi * (k + 0.5) / k.size
-    cosines = np.cos(np.outer(k, theta)) * (2.0 / k.size)
-    cosines[0] *= 0.5
-    gap = k - k[:-1, None]
-    derivative = np.where((gap > 0) & (gap % 2 == 1), 2.0 * k, 0.0)
-    derivative[0] *= 0.5
-    nodes, slope_map = np.cos(theta), derivative @ cosines
-    nodes.flags.writeable = slope_map.flags.writeable = False
-    return nodes, slope_map
+
+    __slots__ = ("node_rows", "slope_map", "colleague", "scale")
+
+    def __init__(self, order: int, max_amplitude: float) -> None:
+        k = np.arange(2 * order + 1)
+        theta = np.pi * (k + 0.5) / k.size
+        cosines = np.cos(np.outer(k, theta)) * (2.0 / k.size)
+        cosines[0] *= 0.5
+        gap = k - k[:-1, None]
+        derivative = np.where((gap > 0) & (gap % 2 == 1), 2.0 * k, 0.0)
+        derivative[0] *= 0.5
+        self.slope_map = derivative @ cosines
+        self.node_rows = basis_rows(0.5 * max_amplitude * (np.cos(theta) + 1.0), order).astype(complex)
+        degree = 2 * order - 1
+        off_diagonal = np.full(degree - 1, 0.5)
+        off_diagonal[:1] = np.sqrt(0.5)
+        self.colleague = (np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))[::-1, ::-1].copy()
+        scl = np.array([1.0] + [np.sqrt(0.5)] * (degree - 1))
+        self.scale = scl / scl[-1]
+        for array in (self.node_rows, self.slope_map, self.colleague, self.scale):
+            array.flags.writeable = False
+
+    def roots(self, coefficients: np.ndarray) -> np.ndarray:
+        """Roots of the Chebyshev series ``coefficients``, of degree at most
+        ``2L - 1``, equal bit for bit to those of numpy's Chebyshev root finder.
+
+        The trailing coefficients that are exactly 0 are trimmed, as numpy's
+        ``as_series`` trims them.  Degree 1 is ``-c_0 / c_1`` and degree 0 has
+        no roots.  Otherwise the last-column shift is subtracted from a copy of
+        the colleague block exactly as ``chebcompanion`` subtracts it, and one
+        ``eigvals`` call takes the roots.
+        """
+        degree = coefficients.size - 1
+        while degree and coefficients[degree] == 0:
+            degree -= 1
+        if degree < 2:
+            return -coefficients[:degree] / coefficients[degree]
+        matrix = self.colleague[-degree:, -degree:].copy()
+        matrix[:, 0] -= ((coefficients[:degree] / coefficients[degree]) * self.scale[:degree] * 0.5)[::-1]
+        roots = np.linalg.eigvals(matrix)
+        roots.sort()
+        return roots
 
 
-@functools.lru_cache(maxsize=16)
-def _node_plan(order: int, max_amplitude: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What :meth:`_Factor.max_mse` reuses per order and amplitude cap: the rows
-    :func:`basis_rows` builds at the ``2 order + 1`` Chebyshev nodes of
-    ``[0, max_amplitude]``, cast to complex once, the map of
-    :func:`_derivative_map`, and the powers ``0, ..., order - 1`` of the
-    candidate rows.  The arrays are read-only, since every caller shares them.
-    """
-    nodes, slope_map = _derivative_map(2 * order)
-    node_rows = basis_rows(0.5 * max_amplitude * (nodes + 1.0), order).astype(complex)
-    powers = np.arange(order, dtype=float)
-    node_rows.flags.writeable = powers.flags.writeable = False
-    return node_rows, slope_map, powers
-
-
-@functools.lru_cache(maxsize=16)
-def _colleague(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The colleague matrix of a degree-``degree`` Chebyshev series before its
-    coefficients enter, and the scale of their column, as
-    ``numpy.polynomial.chebyshev.chebcompanion`` builds them.
-
-    The matrix is stored rotated by 180 degrees, as ``chebroots`` rotates it
-    before its eigensolve, so the coefficients enter its first column, last
-    coefficient first.  Both arrays are read-only, since every caller shares
-    them; the cache is bounded, as each entry holds ``degree^2`` floats.
-    """
-    scl = np.array([1.0] + [np.sqrt(0.5)] * (degree - 1))
-    off_diagonal = np.full(degree - 1, 1 / 2)
-    off_diagonal[0] = np.sqrt(0.5)
-    mat = np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
-    rotated, scale = mat[::-1, ::-1].copy(), scl / scl[-1]
-    rotated.flags.writeable = scale.flags.writeable = False
-    return rotated, scale
-
-
-def _derivative_roots(coefficients: np.ndarray) -> np.ndarray:
-    """Roots of the Chebyshev series ``coefficients``, equal to
-    ``numpy.polynomial.chebyshev.chebroots`` of it.
-
-    The last-column shift is subtracted from a copy of the cached colleague
-    matrix (:func:`_colleague`) exactly as ``chebcompanion`` subtracts it, and
-    one ``eigvals`` call takes the roots.  Where ``chebroots`` takes another
-    branch, it is called itself: degree 1, which it solves directly, and a
-    leading coefficient that is exactly 0, which it trims.
-    """
-    degree = coefficients.size - 1
-    if degree < 2 or coefficients[-1] == 0:
-        return np.polynomial.chebyshev.chebroots(coefficients)
-    rotated, scale = _colleague(degree)
-    matrix = rotated.copy()
-    matrix[:, 0] -= ((coefficients[:-1] / coefficients[-1]) * scale * 0.5)[::-1]
-    roots = np.linalg.eigvals(matrix)
-    roots.sort()
-    return roots
+_node_plan = functools.lru_cache(maxsize=16)(_NodePlan)
 
 
 def max_prediction_mse(
@@ -519,23 +511,26 @@ def max_prediction_mse(
 
     The MSE is a real polynomial of degree ``2L`` in the amplitude, so its
     values at the ``2L + 1`` first-kind Chebyshev nodes of the range fix it
-    exactly.  One product with a matrix of cosines, built once per degree
-    (:func:`_derivative_map`), takes the node values of every ``sigma2`` to the
-    Chebyshev coefficients of their derivatives.  The maximum is taken over
-    both endpoints and the real parts of the roots of that derivative, the
-    eigenvalues of its colleague matrix (Boyd, 2002), clipped to the range.
-    The colleague matrix is a template cached per degree (:func:`_colleague`);
-    each ``sigma2``'s coefficients enter one column of a copy of it, and one
-    eigensolve per ``sigma2`` takes the roots.  Every candidate is then
-    evaluated by the MSE itself.
+    exactly.  One plan per order and real ``max_amplitude``
+    (:func:`_node_plan`) holds the rows at the nodes, the matrix that takes the
+    node values of every ``sigma2``, in one product, to the Chebyshev
+    coefficients of their derivatives, and the colleague matrix of that
+    derivative (Boyd, 2002).  The maximum is taken over both endpoints and the
+    real parts of the derivative's roots, clipped to the range, each evaluated
+    by the MSE itself.  Trailing coefficients that are exactly 0 are trimmed
+    first, as numpy's root finder trims them.  Smaller ones are kept: in the
+    monomial basis round-off and a real leading coefficient reach the same
+    size near ``L = 15``.
 
-    The node rows are cached per order and real ``max_amplitude``
-    (:func:`_node_plan`), and one number is the one-entry sweep: the weights
-    of every ``sigma2`` take their noise check and rank test as arrays, and
-    the first ``sigma2`` that fails raises.  Consecutive calls on the same
-    (design, prior), one per ``sigma2`` of a loop, share one SVD: the factor is
-    memoized by the design's shape and bytes and the prior object, four
-    entries deep (:func:`_svd_arrays`), while the checks run on every call.
+    Each ``sigma2`` takes one eigensolve on its own copy of the colleague
+    matrix.  A stacked eigensolve over the sweep is cheaper for ten
+    variances but dearer for one, and one variance per call is the common
+    case.  One number is the one-entry sweep: the weights of every ``sigma2``
+    take their noise check and rank test as arrays, and the first ``sigma2``
+    that fails raises.  Consecutive calls on the same (design, prior), one per
+    ``sigma2`` of a loop, share one SVD: the factor is memoized by the design's
+    shape and bytes and the prior object, four entries deep
+    (:func:`_svd_arrays`), while the checks run on every call.
     """
     if not (isinstance(max_amplitude, numbers.Real) and 0 < max_amplitude < math.inf):
         raise InvalidInputError("max_amplitude must be a positive and finite real number")

@@ -92,7 +92,8 @@ def basis_rows(s, order: int) -> np.ndarray:
     if order < 1:
         raise InvalidInputError("order must be >= 1")
     s = np.asarray(s)[..., None]
-    return s * np.abs(s) ** np.arange(order)
+    # Float powers: an integer exponent array would be cast to float on every call.
+    return s * np.abs(s) ** np.arange(order, dtype=float)
 
 
 def build_design_matrix(pilots: PilotSequence, order: int) -> np.ndarray:

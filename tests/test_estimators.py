@@ -32,7 +32,7 @@ from patrain import (
     rapp_response,
     uniform_pilots,
 )
-from patrain.estimators import _colleague, _derivative_map, _derivative_roots, _factor, _node_plan, _svd_arrays
+from patrain.estimators import _factor, _node_plan, _svd_arrays
 from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig3, snr_db_to_sigma2
 from patrain.pa_model import basis_rows
 from patrain.prior import (
@@ -548,60 +548,95 @@ def test_max_prediction_mse_bounds_every_sampled_value(problem):
     assert value >= on_grid.max() * (1 - 1e-12)
 
 
+def _chebyshev_nodes(degree):
+    """The ``degree + 1`` first-kind Chebyshev nodes on ``[-1, 1]``, as the node plan places them."""
+    k = np.arange(degree + 1)
+    return np.cos(np.pi * (k + 0.5) / k.size)
+
+
 @pytest.mark.parametrize("order", range(1, 41))
 def test_derivative_coefficients_match_numpy_interpolate_and_differentiate(order):
     cheb = np.polynomial.chebyshev
     series = np.random.default_rng(order).normal(size=2 * order + 1)
     reference = cheb.chebder(cheb.chebinterpolate(lambda x: cheb.chebval(x, series), 2 * order))
-    nodes, slope_map = _derivative_map(2 * order)
-    got = slope_map @ cheb.chebval(nodes, series)
+    slope_map = _node_plan(order, 1.0).slope_map
+    got = slope_map @ cheb.chebval(_chebyshev_nodes(2 * order), series)
     assert got.shape == reference.shape
     assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
-    # The map is built once per degree and shared by every caller.
-    assert _derivative_map(2 * order)[1] is slope_map
-    assert not nodes.flags.writeable and not slope_map.flags.writeable
-    assert _derivative_map.cache_info().maxsize is not None
+    # The map is built once per plan and shared by every caller.
+    assert _node_plan(order, 1.0).slope_map is slope_map
+    assert not slope_map.flags.writeable
+    assert _node_plan.cache_info().maxsize is not None
 
 
 def _mse_slopes(factor, cap, sigma2s):
-    """The derivative coefficients whose roots ``_Factor.max_mse`` takes."""
-    nodes, slope_map = _derivative_map(2 * factor.basis.shape[0])
-    return slope_map @ factor.mse(0.5 * cap * (nodes + 1.0), sigma2s)
+    """The derivative coefficients whose roots ``_Factor.max_mse`` takes, computed as it computes them."""
+    plan = _node_plan(factor.basis.shape[0], cap)
+    return plan.slope_map @ factor._weighted_mse(plan.node_rows, factor.weights(sigma2s))
+
+
+def _random_prior_on_uniform_pilots(order):
+    """The factor of uniform 2L pilots with a random full-rank prior, seeded by the order."""
+    rng = np.random.default_rng(order)
+    prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
+    return _factor(build_design_matrix(uniform_pilots(2 * order), order), prior), rng
+
+
+# From about L = 29 the leading MSE coefficients of these cases are round-off,
+# and one comes out exactly 0 at L = 29 (sigma2 1e-3) and L = 31 (sigma2 0.1).
+EXACT_ZERO_LEADING_ORDERS = (29, 31)
 
 
 @pytest.mark.parametrize("order", range(2, 41))
 def test_derivative_roots_equal_chebroots(order):
     chebroots = np.polynomial.chebyshev.chebroots
-    rng = np.random.default_rng(order)
-    prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
-    factor = _factor(build_design_matrix(uniform_pilots(2 * order), order), prior)
-    for slopes in (rng.normal(size=(2 * order, 3)), _mse_slopes(factor, 1.0, EQUIVALENCE_SIGMA2S)):
-        # From about L = 29 the leading MSE coefficients are round-off, and
-        # some come out exactly 0: those go to chebroots itself.
+    factor, rng = _random_prior_on_uniform_pilots(order)
+    plan = _node_plan(order, 1.0)
+    mse_slopes = _mse_slopes(factor, 1.0, EQUIVALENCE_SIGMA2S)
+    if order in EXACT_ZERO_LEADING_ORDERS:
+        assert (mse_slopes[-1] == 0).any()
+    random_slopes = rng.normal(size=(2 * order, 3))
+    # Every lower degree too: the colleague matrix of degree d is the
+    # template's trailing d x d block, entered by a series padded with zeros.
+    padded = np.tril(rng.normal(size=(2 * order, 2 * order))).T
+    for slopes in (random_slopes, mse_slopes, padded):
         for column in slopes.T:
-            assert np.array_equal(_derivative_roots(column), chebroots(column))
-    # The template is built once per degree and shared by every caller.
-    rotated, scale = _colleague(2 * order - 1)
-    assert _colleague(2 * order - 1)[0] is rotated
-    assert not rotated.flags.writeable and not scale.flags.writeable
-    assert _colleague.cache_info().maxsize is not None
+            assert np.array_equal(plan.roots(column), chebroots(column))
+    # The template is built once per plan and shared by every caller.
+    assert _node_plan(order, 1.0).colleague is plan.colleague
+    assert not plan.colleague.flags.writeable and not plan.scale.flags.writeable
 
 
-def test_derivative_roots_leave_degree_one_and_a_zero_leading_coefficient_to_chebroots():
+def test_root_step_trims_exact_zeros_and_solves_degree_one_as_chebroots():
     chebroots = np.polynomial.chebyshev.chebroots
     rng = np.random.default_rng(0)
     trimmed = rng.normal(size=6)
     trimmed[-1] = 0.0
-    for coefficients in (trimmed, rng.normal(size=2)):
-        assert np.array_equal(_derivative_roots(coefficients), chebroots(coefficients))
-    assert _derivative_roots(trimmed).size == 4
+    for coefficients in (trimmed, rng.normal(size=2), np.zeros(6), np.array([1.0, 0.0])):
+        got = _node_plan(3 if coefficients.size == 6 else 1, 1.0).roots(coefficients)
+        assert np.array_equal(got, chebroots(coefficients))
+    assert _node_plan(3, 1.0).roots(trimmed).size == 4
     # Order 1: the MSE sigma2 a^2 / sum |s_n|^2 has a degree-1 derivative, so
-    # its maximum sits at the cap and comes through chebroots.
+    # its maximum sits at the cap, found by the degree-1 step.
     phi = build_design_matrix(uniform_pilots(2), 1)
     sigma2s = np.array(EQUIVALENCE_SIGMA2S)
     maxima, amplitudes = _factor(phi).max_mse(2.5, sigma2s)
     assert_allclose(maxima, sigma2s * 2.5**2 / 1.25, rtol=1e-12)
     assert np.array_equal(amplitudes, [2.5] * 3)
+
+
+@pytest.mark.parametrize("order", EXACT_ZERO_LEADING_ORDERS)
+def test_max_mse_with_an_exactly_zero_leading_coefficient(order):
+    factor, _ = _random_prior_on_uniform_pilots(order)
+    sigma2s = np.array(EQUIVALENCE_SIGMA2S)
+    assert (_mse_slopes(factor, 1.0, sigma2s)[-1] == 0).any()
+    maxima, amplitudes = factor.max_mse(1.0, sigma2s)
+    # Measured at L = 29 and 31: the 200,001-point grid maximum exceeds the
+    # returned maximum by at most 2.9e-16 relative, and the MSE at the
+    # returned amplitude differs from it by at most 1.7e-16 relative.
+    on_grid = factor.mse(np.linspace(0.0, 1.0, 200_001), sigma2s).max(axis=0)
+    assert (maxima >= on_grid * (1 - 1e-15)).all()
+    assert_allclose(np.diag(factor.mse(amplitudes, sigma2s)), maxima, rtol=1e-15, atol=0)
 
 
 def _interpolate_differentiate_max(phi, sigma2, prior, cap):
@@ -682,15 +717,16 @@ def test_node_plan_is_built_once_per_order_and_cap(order):
     after = _node_plan.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert after.maxsize is not None
-    node_rows, slope_map, powers = _node_plan(order, cap)
-    assert _node_plan(order, cap)[0] is node_rows
-    assert not any(array.flags.writeable for array in (node_rows, slope_map, powers))
-    nodes, cached_map = _derivative_map(2 * order)
-    assert slope_map is cached_map
-    assert np.array_equal(node_rows, basis_rows(0.5 * cap * (nodes + 1.0), order))
-    assert np.array_equal(powers, np.arange(order))
-    # The rows depend on the cap, the map and the powers do not.
-    assert not np.array_equal(_node_plan(order, 1.0)[0], _node_plan(order, 2.5)[0])
+    plan = _node_plan(order, cap)
+    assert _node_plan(order, cap) is plan
+    arrays = (plan.node_rows, plan.slope_map, plan.colleague, plan.scale)
+    assert not any(array.flags.writeable for array in arrays)
+    assert np.array_equal(plan.node_rows, basis_rows(0.5 * cap * (_chebyshev_nodes(2 * order) + 1.0), order))
+    assert plan.colleague.shape == (2 * order - 1, 2 * order - 1) and plan.scale.shape == (2 * order - 1,)
+    # The rows depend on the cap, the map and the colleague template do not.
+    other = _node_plan(order, 2.5)
+    assert not np.array_equal(other.node_rows, plan.node_rows)
+    assert np.array_equal(other.slope_map, plan.slope_map) and np.array_equal(other.colleague, plan.colleague)
 
 
 MEMO_KINDS = ("none", "full", "rank-deficient")
