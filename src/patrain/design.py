@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, PilotAllocationError, RankDeficiencyError
-from .estimators import _factor, _seeded_rng
+from .estimators import _factor, _Factor, _seeded_rng
 from .pa_model import PilotSequence, build_design_matrix
 
 # Exchange search: a sweep that moves no pilot ends it.  A move must raise the
@@ -140,8 +140,9 @@ def exchange_search_verify(
     determinant by ``(1 + d(x))(1 - d(p)) + d(x, p)^2`` (Fedorov, 1972), so
     one visit scores every grid point from ``W = M^-1 F^T`` (``F`` the grid
     rows) and the dispersions ``d``.  Both come from one QR of the start
-    design, ``W = R^-1 R^-T F^T``.  A move ``p -> q`` then updates them by two
-    Sherman-Morrison steps, adding ``f(q)`` and then removing ``f(p)``: with
+    rows, ``W = R^-1 R^-T F^T``, and the singular values of ``R`` take the
+    rank test.  A move ``p -> q`` then updates them by two Sherman-Morrison
+    steps, adding ``f(q)`` and then removing ``f(p)``: with
     ``c = F W[:, q]``, ``W -= W[:, q] c^T / (1 + d(q))`` and
     ``d -= c^2 / (1 + d(q))``; then with ``c = F W[:, p]``,
     ``W += W[:, p] c^T / (1 - d(p))`` and ``d += c^2 / (1 - d(p))``.  The
@@ -164,12 +165,15 @@ def exchange_search_verify(
     rng = _seeded_rng(seed)
     grid, basis = _grid_rows(order, grid_resolution)
     index = np.rint(np.arange(1, n_pilots + 1) / n_pilots * grid_resolution).astype(int)
-    # Moves only raise the determinant, so a regular start stays regular.
-    if d_criterion(basis[index], 1.0).log_det == np.inf:
+    r = np.linalg.qr(basis[index], mode="r")
+    # R has the singular values of the start rows, so they take the one rank
+    # test.  Moves only raise the determinant, so a regular start stays regular.
+    try:
+        _Factor(None, np.linalg.svd(r, compute_uv=False), None, False).singular_values([1.0])
+    except RankDeficiencyError:
         raise RankDeficiencyError(
             f"exchange start on {grid_resolution + 1} grid points is singular at order {order}"
-        )
-    r = np.linalg.qr(basis[index], mode="r")
+        ) from None
     # Column y of w is M^-1 f(y) with M = R^T R, so d(x, y) = f(x) . w[:, y].
     r_inv = np.linalg.inv(r)
     z = r_inv.T @ basis.T

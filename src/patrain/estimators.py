@@ -10,21 +10,15 @@ D-criterion all follow in closed form, and one factor serves a whole SNR sweep.
 
 The exact maximum prediction MSE is a root-finding problem on the factor: the
 MSE is a polynomial of degree ``2L`` in the amplitude, fixed by its values at
-``2L + 1`` Chebyshev nodes.  One plan per order and amplitude cap
-(:class:`_NodePlan`) holds the monomial rows at those nodes, the matrix that
-takes the node values to the Chebyshev coefficients of the derivative, and the
-colleague matrix whose eigenvalues are that derivative's roots.  The weights of
-every noise variance come from array operations, and each variance then takes
-one eigensolve, so a call is one pass whether it is given one variance or a
-sweep.
-
-The SVD arrays are memoized (:func:`_svd_arrays`), keyed by the checked
-design's shape and bytes and by the prior object itself, with four entries
-kept, so consecutive calls on the same (design, prior), such as a loop over
-``sigma2``, share one factor.  The design checks and the rank test still run
-on every call.
+``2L + 1`` Chebyshev nodes (:class:`_NodePlan`, one per order and cap).  One
+memoized plan per (design, prior, cap) (:class:`_MaxPlan`) holds all that does
+not depend on ``sigma2``.  The LS MSE is ``sigma2`` times a polynomial free of
+it, so an LS maximum is ``sigma2`` times the one at ``sigma2 = 1``, and only
+LMMSE takes an eigensolve per variance.  Every other entry point factors its
+design afresh.
 """
 
+import contextlib
 import functools
 import math
 import numbers
@@ -50,15 +44,20 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def _require_noise_variance(sigma2: float) -> None:
-    """Reject a noise variance that is not finite or below the smallest normal float.
-
-    A subnormal variance keeps only a few significant digits, and so would
-    every MSE scaled by it.
-    """
-    if not (math.isfinite(sigma2) and sigma2 >= _SMALLEST_NORMAL):
+    """Reject a complex or non-finite noise variance, or a subnormal one, whose few
+    significant digits every MSE scaled by it would keep."""
+    if np.iscomplexobj(sigma2) or not (math.isfinite(sigma2) and sigma2 >= _SMALLEST_NORMAL):
         raise InvalidNoiseError(
-            f"noise variance must be finite and at least {_SMALLEST_NORMAL:.3g}, got {sigma2!r}"
+            f"noise variance must be real, finite and at least {_SMALLEST_NORMAL:.3g}, got {sigma2!r}"
         )
+
+
+def _noise_variances(sigma2s) -> np.ndarray:
+    """``sigma2s`` as a float array; a complex one fails the noise check instead of losing its imaginary part."""
+    sigma2s = np.asarray(sigma2s)
+    if sigma2s.dtype.kind == "c":
+        _require_noise_variance(sigma2s)
+    return sigma2s.astype(float, copy=False)
 
 
 def _require_finite(values: np.ndarray, label: str) -> np.ndarray:
@@ -135,7 +134,7 @@ class PriorStatistics:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
         whiten = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
-        # The factor memo keys priors by identity, so the root it factors is fixed.
+        # The max-MSE plans key priors by identity, so the root they factor is fixed.
         whiten.flags.writeable = False
         object.__setattr__(self, "_whiten", whiten)
 
@@ -189,14 +188,11 @@ class _Factor:
 
     def singular_values(self, sigma2s) -> np.ndarray:
         """Singular values of the factored system, one column per noise variance
-        in ``sigma2s``, after each one's noise check and the one rank test.
-
-        The rank test is ``cond >= CONDITION_LIMIT``, written without dividing
-        by zero; a system with no direction left passes.  Every column is taken
-        with array operations, and the first ``sigma2`` in input order that
-        fails either check raises.
+        in ``sigma2s``, after each one's noise check and the one rank test,
+        ``cond >= CONDITION_LIMIT`` without dividing by zero (a system with no
+        direction left passes).  The first ``sigma2`` that fails either raises.
         """
-        sigma2s = np.asarray(sigma2s, dtype=float)
+        sigma2s = _noise_variances(sigma2s)
         # The comparisons are False for NaN, and the abs keeps the square root
         # quiet on a negative sigma2, which fails the noise check anyway.
         valid = (sigma2s >= _SMALLEST_NORMAL) & (sigma2s < math.inf)
@@ -217,10 +213,7 @@ class _Factor:
         return sv
 
     def covariance(self, sigma2: float, rows: np.ndarray | None = None) -> np.ndarray:
-        """Error covariance of ``rows @ beta`` (of ``beta`` itself by default).
-
-        It is ``sigma2 z z^H`` with ``z = rows @ root`` and the root ``T V / sv``.
-        """
+        """Error covariance ``sigma2 z z^H`` of ``rows @ beta`` (of ``beta`` by default), ``z = rows @ T V / sv``."""
         with np.errstate(all="ignore"):
             root = self.basis / self.singular_values([sigma2])[:, 0]
             z = root if rows is None else rows @ root
@@ -234,56 +227,23 @@ class _Factor:
         return self.basis[:, :m] @ (self.s[:m] / sv[:m] ** 2 * (self.u.conj().T @ residual))
 
     def weights(self, sigma2s) -> np.ndarray:
-        """``sigma2 / sv^2`` per direction (rows) and noise variance (columns).
-
-        A weight that overflows is ``inf``, so the callers take it under
-        ``np.errstate`` and check the MSE it scales.
-        """
-        sigma2s = np.asarray(sigma2s, dtype=float)
+        """``sigma2 / sv^2`` per direction (rows) and noise variance (columns); one
+        that overflows is ``inf``, so the callers take it under ``np.errstate``."""
+        sigma2s = _noise_variances(sigma2s)
         return sigma2s / self.singular_values(sigma2s) ** 2
 
-    def _weighted_mse(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``|rows @ T V|^2 @ weights``: the MSE of the prediction rows (rows) for
-        each column of :meth:`weights`, the one evaluator of every MSE here."""
-        return np.abs(rows @ self.basis) ** 2 @ weights
+    def energies(self, rows: np.ndarray) -> np.ndarray:
+        """``|rows @ T V|^2`` per prediction row (rows) and factored direction (columns):
+        times :meth:`weights` it is the MSE, the one evaluator of every MSE here."""
+        return np.abs(rows @ self.basis) ** 2
 
     def mse(self, amplitudes, sigma2s) -> np.ndarray:
         """Prediction MSE ``sum_i |f(a)^T T v_i|^2 w_i`` at real nonnegative amplitudes (rows)
         for each noise variance (columns), with the monomial rows ``f(a) = (a, ..., a^L)``."""
         amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
         with np.errstate(all="ignore"):
-            values = self._weighted_mse(basis_rows(amplitudes, self.basis.shape[0]), self.weights(sigma2s))
+            values = self.energies(basis_rows(amplitudes, self.basis.shape[0])) @ self.weights(sigma2s)
         return _require_finite_result(values, "prediction MSE")
-
-    def max_mse(self, max_amplitude: float, sigma2s) -> tuple[np.ndarray, np.ndarray]:
-        """Maximal prediction MSE over ``[0, max_amplitude]`` for each noise variance,
-        and the amplitude where each maximum sits.
-
-        The node values of every ``sigma2`` go to the derivative coefficients in
-        one product with the map of the plan cached per ``(order,
-        max_amplitude)`` (:func:`_node_plan`).  Each column then takes its
-        roots from the plan's colleague matrix (:meth:`_NodePlan.roots`), and
-        the endpoints and the clipped roots are scored with the weights already
-        taken.
-        """
-        order = self.basis.shape[0]
-        plan = _node_plan(order, max_amplitude)
-        half = 0.5 * max_amplitude
-        with np.errstate(all="ignore"):
-            weights = self.weights(sigma2s)
-            maxima, amplitudes = np.empty(weights.shape[1]), np.empty(weights.shape[1])
-            slopes = plan.slope_map @ self._weighted_mse(plan.node_rows, weights)
-            _require_finite_result(slopes, "prediction MSE")
-            for j in range(weights.shape[1]):
-                roots = plan.roots(slopes[:, j]).real
-                points = np.empty(roots.size + 2)
-                points[:2] = -1.0, 1.0
-                np.minimum(np.maximum(roots, -1.0), 1.0, out=points[2:])
-                candidates = half * (points + 1.0)
-                values = self._weighted_mse(basis_rows(candidates, order), weights[:, j : j + 1])
-                best = int(values.argmax())
-                maxima[j], amplitudes[j] = values[best, 0], candidates[best]
-        return _require_finite_result(maxima, "prediction MSE"), amplitudes
 
 
 def _checked_design(design: np.ndarray, prior: PriorStatistics | None) -> np.ndarray:
@@ -295,47 +255,25 @@ def _checked_design(design: np.ndarray, prior: PriorStatistics | None) -> np.nda
 
 
 def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor:
-    """Factor the LS problem (no prior) or the whitened LMMSE problem with one SVD."""
-    return _svd_factor(_checked_design(design, prior), prior)
-
-
-def _svd_factor(design: np.ndarray, prior: PriorStatistics | None) -> _Factor:
-    """The factor of a design that :func:`_checked_design` passed, a fresh
-    :class:`_Factor` over the memoized arrays of :func:`_svd_arrays`."""
-    u, s, basis = _svd_arrays(design.shape, design.tobytes(), prior)
-    return _Factor(u, s, basis, prior is not None)
-
-
-@functools.lru_cache(maxsize=4)
-def _svd_arrays(shape: tuple, data: bytes, prior: PriorStatistics | None) -> tuple:
-    """The read-only ``(u, s, basis)`` of the design with ``shape`` and bytes ``data``.
+    """Factor the LS problem (no prior) or the whitened LMMSE problem with one SVD.
 
     LS takes the SVD of ``Phi``.  LMMSE takes that of ``Phi T``, where ``T`` is
     the prior root kept by :class:`PriorStatistics`.  With more columns than pilots
     the full ``V`` is taken and ``s`` padded with zeros, so an LS system with too few
     pilots fails the one rank test, :meth:`_Factor.singular_values`, with cond ``inf``.
-
-    The key is the design's bytes and the prior itself, which hashes by
-    identity and whose root is read-only, so consecutive calls on one (design,
-    prior), a σ² loop, share one SVD.  An entry for an ``N x L`` design holds
-    ``16 (2 N L + L^2) + 8 L`` bytes besides the prior it keeps alive: 4 KB at
-    ``L = 7, N = 14`` and 32 KB at ``L = 20, N = 40``, so the four entries kept
-    hold 128 KB at such sizes.
     """
-    design = np.frombuffer(data, dtype=complex).reshape(shape)
+    design = _checked_design(design, prior)
     whitened = design if prior is None else design @ prior._whiten
     k = whitened.shape[1]
     u, s, vh = np.linalg.svd(whitened, full_matrices=len(design) < k)
     basis = vh.conj().T if prior is None else prior._whiten @ vh.conj().T
-    s = np.concatenate([s, np.zeros(k - s.size)])
-    u.flags.writeable = s.flags.writeable = basis.flags.writeable = False
-    return u, s, basis
+    return _Factor(u, np.concatenate([s, np.zeros(k - s.size)]), basis, prior is not None)
 
 
-def _monomial_factor(design: np.ndarray, prior: PriorStatistics | None) -> _Factor:
-    """The factor of ``design`` if it has a column and its columns are ``s |s|^(l-1)``
-    of the first, within 1e-12 of its largest entry: the MSE functions build
-    monomial prediction rows with :func:`basis_rows`."""
+def _monomial_design(design: np.ndarray, prior: PriorStatistics | None) -> np.ndarray:
+    """``design`` as :func:`_checked_design` returns it, if it has a column and its
+    columns are ``s |s|^(l-1)`` of the first, within 1e-12 of its largest entry:
+    the MSE functions build monomial prediction rows with :func:`basis_rows`."""
     design = _checked_design(design, prior)
     if design.shape[1] < 1:
         raise InvalidInputError("order must be >= 1")
@@ -345,7 +283,7 @@ def _monomial_factor(design: np.ndarray, prior: PriorStatistics | None) -> _Fact
     excess = np.abs(design - rows).max(initial=0.0)
     if excess and excess > 1e-12 * np.abs(design).max(initial=0.0):
         raise InvalidInputError("columns are not s|s|^(l-1) of the first; other bases need prediction_covariance")
-    return _svd_factor(design, prior)
+    return design
 
 
 def _check_observations(design: np.ndarray, observations: np.ndarray) -> np.ndarray:
@@ -423,11 +361,11 @@ def mse_curve(
         raise NonFiniteInputError("amplitudes hold NaN or infinite entries")
     if (amplitudes < 0).any():
         raise InvalidInputError("amplitudes must be nonnegative")
-    return MseCurve(amplitudes, _monomial_factor(design, prior).mse(amplitudes, [sigma2])[:, 0])
+    return MseCurve(amplitudes, _factor(_monomial_design(design, prior), prior).mse(amplitudes, [sigma2])[:, 0])
 
 
 class _NodePlan:
-    """What :meth:`_Factor.max_mse` reuses per order ``L`` and amplitude cap.
+    """What :meth:`_MaxPlan.max_mse` reuses per order ``L`` and amplitude cap.
 
     - ``node_rows``: the rows :func:`basis_rows` builds at the ``n = 2L + 1``
       first-kind Chebyshev nodes of ``[0, max_amplitude]``, cast to complex once.
@@ -435,17 +373,15 @@ class _NodePlan:
       ``theta_j = pi (j + 1/2) / n``.
     - ``slope_map``: the ``(n - 1, n)`` matrix taking values ``v_j`` at the nodes
       to the Chebyshev coefficients of the derivative of their interpolant.  The
-      interpolant has the cosine sums ``c_k = (2/n) sum_j cos(k theta_j) v_j``,
-      with ``c_0`` halved, and its derivative ``d_i = sum_{j > i, j - i odd} 2 j
-      c_j``, with ``d_0`` halved (Mason & Handscomb, *Chebyshev Polynomials*,
-      2003, §2.4); both maps are folded into one matrix.
+      interpolant has the cosine sums ``c_k = (2/n) sum_j cos(k theta_j) v_j``
+      and its derivative ``d_i = sum_{j > i, j - i odd} 2 j c_j``, with ``c_0``
+      and ``d_0`` halved (Mason & Handscomb, *Chebyshev Polynomials*, 2003, §2.4), in one matrix.
     - ``colleague`` and ``scale``: the colleague matrix of a degree-``2L - 1``
       series before its coefficients enter, and the scale of their column, as
-      ``numpy.polynomial.chebyshev.chebcompanion`` builds them.  The matrix is
-      stored rotated by 180 degrees, as numpy's Chebyshev root finder rotates
-      it before its eigensolve, so the coefficients enter its first column,
-      last coefficient first.  The colleague matrix of a lower degree ``d`` is
-      its trailing ``d x d`` block, with the first ``d`` entries of ``scale``.
+      numpy's ``chebcompanion`` builds them, rotated by 180 degrees as numpy's
+      ``chebroots`` rotates it, so the coefficients enter its first column,
+      last first.  The colleague matrix of a lower degree ``d`` is its trailing
+      ``d x d`` block, with the first ``d`` entries of ``scale``.
 
     The arrays are read-only, since every caller shares them.  A plan holds
     about ``12 L^2`` floats, 150 KB at ``L = 40``, and sixteen are kept.
@@ -497,6 +433,75 @@ class _NodePlan:
 _node_plan = functools.lru_cache(maxsize=16)(_NodePlan)
 
 
+class _MaxPlan:
+    """What :func:`max_prediction_mse` reuses per (design, prior, cap); no noise variance in it.
+
+    - ``factor``: the design's :class:`_Factor`, its arrays read-only.
+    - ``node_values``: :meth:`_Factor.energies` at the rows of :func:`_node_plan`,
+      so ``node_values @ w`` are the node values of the weights ``w``.
+    - ``unit``: the LS maximum and its amplitude at ``sigma2 = 1``.  The LS MSE
+      is ``sigma2 f^T (Phi^H Phi)^-1 f``, so the maximum at any ``sigma2`` is
+      ``sigma2`` times it, at the same amplitude.  ``None`` for LMMSE and for
+      an LS design that fails the rank test or whose unit maximum overflows.
+    """
+
+    __slots__ = ("factor", "max_amplitude", "node_values", "unit")
+
+    def __init__(self, factor: _Factor, max_amplitude: float) -> None:
+        self.factor, self.max_amplitude, self.unit = factor, max_amplitude, None
+        self.node_values = factor.energies(_node_plan(factor.basis.shape[0], max_amplitude).node_rows)
+        for array in (factor.u, factor.s, factor.basis, self.node_values):
+            array.flags.writeable = False
+        if not factor.regularized:
+            with contextlib.suppress(RankDeficiencyError, InvalidNoiseError):
+                self.unit = tuple(column[0] for column in self.max_mse(np.ones(1)))
+
+    def max_mse(self, sigma2s) -> tuple[np.ndarray, np.ndarray]:
+        """Maximal prediction MSE over ``[0, max_amplitude]`` per noise variance
+        in the 1-D ``sigma2s``, and the amplitude where each maximum sits.
+
+        The weights run the noise check and the rank test; LS then scales
+        ``unit``.  Otherwise the node values of every ``sigma2`` go to the
+        derivative coefficients in one product with the node plan's map, each
+        column's roots come from :meth:`_NodePlan.roots`, and the endpoints and
+        clipped roots are scored with the weights already taken.
+        """
+        sigma2s = _noise_variances(sigma2s)
+        factor, order, half = self.factor, self.factor.basis.shape[0], 0.5 * self.max_amplitude
+        with np.errstate(all="ignore"):
+            # Weights that overflow raise on both paths, as in every MSE here.
+            weights = _require_finite_result(factor.weights(sigma2s), "prediction MSE")
+            if self.unit is not None:
+                maxima = sigma2s * self.unit[0]
+                return _require_finite_result(maxima, "prediction MSE"), np.full(sigma2s.size, self.unit[1])
+            plan = _node_plan(order, self.max_amplitude)
+            maxima, amplitudes = np.empty(weights.shape[1]), np.empty(weights.shape[1])
+            slopes = plan.slope_map @ (self.node_values @ weights)
+            _require_finite_result(slopes, "prediction MSE")
+            for j in range(weights.shape[1]):
+                roots = plan.roots(slopes[:, j]).real
+                points = np.empty(roots.size + 2)
+                points[:2] = -1.0, 1.0
+                np.minimum(np.maximum(roots, -1.0), 1.0, out=points[2:])
+                candidates = half * (points + 1.0)
+                values = factor.energies(basis_rows(candidates, order)) @ weights[:, j : j + 1]
+                best = int(values.argmax())
+                maxima[j], amplitudes[j] = values[best, 0], candidates[best]
+        return _require_finite_result(maxima, "prediction MSE"), amplitudes
+
+
+@functools.lru_cache(maxsize=4)
+def _max_plan(shape: tuple, data: bytes, prior: PriorStatistics | None, max_amplitude: float) -> _MaxPlan:
+    """The plan of the checked design with ``shape`` and bytes ``data``; the
+    monomial check runs when it is built.  The prior is keyed by identity and
+    its root is read-only.  An entry for an ``N x L`` design holds about
+    ``32 (N L + L^2)`` bytes with its key, 5 KB at ``L = 7, N = 14`` and 38 KB
+    at ``L = 20, N = 40``, besides the prior it keeps alive.
+    """
+    design = _monomial_design(np.frombuffer(data, dtype=complex).reshape(shape), prior)
+    return _MaxPlan(_factor(design, prior), max_amplitude)
+
+
 def max_prediction_mse(
     design: np.ndarray,
     sigma2: float | np.ndarray,
@@ -506,38 +511,33 @@ def max_prediction_mse(
     """Maximal prediction MSE over the amplitude range ``[0, max_amplitude]``.
 
     ``sigma2`` is one noise variance, which returns a ``float``, or a 1-D
-    array of them, which returns an array of the same length from one factor
-    of the design.
+    array of them, which returns an array of the same length; one number is
+    the one-entry sweep.
 
     The MSE is a real polynomial of degree ``2L`` in the amplitude, so its
     values at the ``2L + 1`` first-kind Chebyshev nodes of the range fix it
-    exactly.  One plan per order and real ``max_amplitude``
-    (:func:`_node_plan`) holds the rows at the nodes, the matrix that takes the
-    node values of every ``sigma2``, in one product, to the Chebyshev
-    coefficients of their derivatives, and the colleague matrix of that
-    derivative (Boyd, 2002).  The maximum is taken over both endpoints and the
-    real parts of the derivative's roots, clipped to the range, each evaluated
-    by the MSE itself.  Trailing coefficients that are exactly 0 are trimmed
-    first, as numpy's root finder trims them.  Smaller ones are kept: in the
-    monomial basis round-off and a real leading coefficient reach the same
-    size near ``L = 15``.
+    exactly.  The maximum is taken over both endpoints and the real parts of
+    its derivative's roots, clipped to the range, from the colleague matrix
+    (Boyd, 2002), each evaluated by the MSE itself.  Trailing coefficients that
+    are exactly 0 are trimmed first, as numpy's root finder trims them.
+    Smaller ones are kept: in the monomial basis round-off and a real leading
+    coefficient reach the same size near ``L = 15``.
 
-    Each ``sigma2`` takes one eigensolve on its own copy of the colleague
-    matrix.  A stacked eigensolve over the sweep is cheaper for ten
-    variances but dearer for one, and one variance per call is the common
-    case.  One number is the one-entry sweep: the weights of every ``sigma2``
-    take their noise check and rank test as arrays, and the first ``sigma2``
-    that fails raises.  Consecutive calls on the same (design, prior), one per
-    ``sigma2`` of a loop, share one SVD: the factor is memoized by the design's
-    shape and bytes and the prior object, four entries deep
-    (:func:`_svd_arrays`), while the checks run on every call.
+    Consecutive calls on one (design, prior, cap), such as a loop over
+    ``sigma2``, share one plan (:func:`_max_plan`, four entries keyed by the
+    design's shape and bytes, the prior object and the cap).  An LS maximum is
+    then ``sigma2`` times the plan's maximum at ``sigma2 = 1``, and each LMMSE
+    ``sigma2`` takes one eigensolve.  The design checks run on every call, then
+    the noise check and the rank test of every ``sigma2`` as arrays; the first
+    ``sigma2`` that fails raises.
     """
     if not (isinstance(max_amplitude, numbers.Real) and 0 < max_amplitude < math.inf):
         raise InvalidInputError("max_amplitude must be a positive and finite real number")
-    sigma2s = np.asarray(sigma2, dtype=float)
+    sigma2s = np.asarray(sigma2)
     if sigma2s.ndim > 1 or sigma2s.size == 0:
         raise DimensionMismatchError("sigma2 must be a number or a nonempty 1-D array")
-    maxima, _ = _monomial_factor(design, prior).max_mse(float(max_amplitude), sigma2s.reshape(-1))
+    design = _checked_design(design, prior)
+    maxima, _ = _max_plan(design.shape, design.tobytes(), prior, float(max_amplitude)).max_mse(sigma2s.reshape(-1))
     return float(maxima[0]) if sigma2s.ndim == 0 else maxima
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -32,7 +34,7 @@ from patrain import (
     rapp_response,
     uniform_pilots,
 )
-from patrain.estimators import _factor, _node_plan, _svd_arrays
+from patrain.estimators import _factor, _max_plan, _MaxPlan, _node_plan
 from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig3, snr_db_to_sigma2
 from patrain.pa_model import basis_rows
 from patrain.prior import (
@@ -443,6 +445,16 @@ def test_mse_and_covariance_beyond_the_float_range_raise_noise_errors():
         max_prediction_mse(phi, 1e300)
 
 
+def test_ls_design_whose_unit_maximum_overflows_takes_the_root_step():
+    # At a 1e-160 cap, s^2 underflows and the weights at sigma2 = 1 overflow,
+    # so the plan keeps no unit maximum, yet sigma2 = 1e-300 has a finite one.
+    phi = build_design_matrix(uniform_pilots(2, 1e-160), 1)
+    assert max_prediction_mse(phi, 1e-300, max_amplitude=1e-160) == pytest.approx(8e-301, rel=1e-12)
+    assert _plan_of(phi, None, 1e-160).unit is None
+    with pytest.raises(InvalidNoiseError, match="overflow"):
+        max_prediction_mse(phi, 1.0, max_amplitude=1e-160)
+
+
 def _grid_maxima(phi, sigma2, prior=None, max_amplitude=1.0, points=100_001):
     """Maximum of the MSE on a dense grid, and that maximum refined by a second
     grid of as many points across the two cells around the grid's best point.
@@ -570,9 +582,9 @@ def test_derivative_coefficients_match_numpy_interpolate_and_differentiate(order
 
 
 def _mse_slopes(factor, cap, sigma2s):
-    """The derivative coefficients whose roots ``_Factor.max_mse`` takes, computed as it computes them."""
+    """The derivative coefficients whose roots ``_MaxPlan.max_mse`` takes, computed as it computes them."""
     plan = _node_plan(factor.basis.shape[0], cap)
-    return plan.slope_map @ factor._weighted_mse(plan.node_rows, factor.weights(sigma2s))
+    return plan.slope_map @ (factor.energies(plan.node_rows) @ factor.weights(sigma2s))
 
 
 def _random_prior_on_uniform_pilots(order):
@@ -620,7 +632,7 @@ def test_root_step_trims_exact_zeros_and_solves_degree_one_as_chebroots():
     # its maximum sits at the cap, found by the degree-1 step.
     phi = build_design_matrix(uniform_pilots(2), 1)
     sigma2s = np.array(EQUIVALENCE_SIGMA2S)
-    maxima, amplitudes = _factor(phi).max_mse(2.5, sigma2s)
+    maxima, amplitudes = _MaxPlan(_factor(phi), 2.5).max_mse(sigma2s)
     assert_allclose(maxima, sigma2s * 2.5**2 / 1.25, rtol=1e-12)
     assert np.array_equal(amplitudes, [2.5] * 3)
 
@@ -630,7 +642,7 @@ def test_max_mse_with_an_exactly_zero_leading_coefficient(order):
     factor, _ = _random_prior_on_uniform_pilots(order)
     sigma2s = np.array(EQUIVALENCE_SIGMA2S)
     assert (_mse_slopes(factor, 1.0, sigma2s)[-1] == 0).any()
-    maxima, amplitudes = factor.max_mse(1.0, sigma2s)
+    maxima, amplitudes = _MaxPlan(factor, 1.0).max_mse(sigma2s)
     # Measured at L = 29 and 31: the 200,001-point grid maximum exceeds the
     # returned maximum by at most 2.9e-16 relative, and the MSE at the
     # returned amplitude differs from it by at most 1.7e-16 relative.
@@ -691,6 +703,33 @@ def test_max_prediction_mse_of_one_noise_variance_is_the_one_column_sweep(order)
             assert value == max_prediction_mse(phi, np.array([sigma2]), prior, cap)[0]
 
 
+SCALING_SIGMA2S = np.geomspace(1e-3, 10, 10)
+
+
+@pytest.mark.parametrize("order", range(2, 15))
+def test_ls_maxima_scale_exactly_with_sigma2(order):
+    # The LS MSE is sigma2 f^T (Phi^H Phi)^-1 f, so its maximum is sigma2 times
+    # the one at sigma2 = 1, bit for bit, in a sweep and in scalar calls alike.
+    checked = 0
+    for cap in (1.0, 2.5):
+        for n_pilots in (order, 2 * order):
+            for pilots in (allocate_pilots(order, n_pilots, max_amplitude=cap), uniform_pilots(n_pilots, cap)):
+                phi = build_design_matrix(pilots, order)
+                try:
+                    unit = max_prediction_mse(phi, 1.0, max_amplitude=cap)
+                except RankDeficiencyError:
+                    continue
+                swept = max_prediction_mse(phi, SCALING_SIGMA2S, max_amplitude=cap)
+                assert np.array_equal(swept, SCALING_SIGMA2S * unit)
+                assert [max_prediction_mse(phi, sigma2, max_amplitude=cap) for sigma2 in SCALING_SIGMA2S] == list(swept)
+                # The unit maximum is the root step that every LMMSE variance takes.
+                root_step = _MaxPlan(_factor(phi), cap)
+                root_step.unit = None
+                assert root_step.max_mse(np.ones(1))[0][0] == unit
+                checked += 1
+    assert checked >= 6
+
+
 def test_the_first_failing_noise_variance_decides_the_error():
     # N = 2 < L = 4: the LMMSE system is rank deficient at a tiny sigma2, and
     # NaN fails the noise check; whichever comes first in the sweep raises.
@@ -733,28 +772,38 @@ MEMO_KINDS = ("none", "full", "rank-deficient")
 MEMO_SIGMA2S = np.geomspace(1e-3, 1.0, 10)
 
 
+def _plan_of(phi, prior, cap=1.0):
+    return _max_plan(phi.shape, phi.tobytes(), prior, cap)
+
+
 @pytest.mark.parametrize("kind", MEMO_KINDS)
 def test_svd_is_taken_once_per_design_and_prior(kind):
     order = 5
     prior = _sweep_prior(kind, order, np.random.default_rng(1))
     phi = build_design_matrix(allocate_pilots(order, 2 * order), order)
-    _svd_arrays.cache_clear()
-    for sigma2 in MEMO_SIGMA2S:
-        max_prediction_mse(phi, sigma2, prior)
-    info = _svd_arrays.cache_info()
-    assert (info.misses, info.hits) == (1, 9)
+    _max_plan.cache_clear()
+    for cap in (1.0, 2.5):
+        for sigma2 in MEMO_SIGMA2S:
+            max_prediction_mse(phi, sigma2, prior, cap)
+    # One plan per (design, prior, cap): one miss, then a hit per variance.
+    info = _max_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 18)
     assert info.maxsize is not None
-    u, s, basis = _svd_arrays(phi.shape, phi.tobytes(), prior)
-    assert not any(array.flags.writeable for array in (u, s, basis))
-    factor = _factor(phi, prior)
-    assert factor.basis is basis and factor is not _factor(phi, prior)
+    plan = _plan_of(phi, prior)
+    factor = plan.factor
+    assert not any(array.flags.writeable for array in (factor.u, factor.s, factor.basis, plan.node_values))
     with pytest.raises(ValueError):
         factor.s[0] = 0.0
+    # The LS unit maximum is kept, an LMMSE plan takes a root step per variance.
+    assert (plan.unit is None) == (prior is not None)
+    # The other entry points factor afresh, to the same bits.
+    fresh = _factor(phi, prior)
+    assert fresh.basis is not factor.basis and np.array_equal(fresh.basis, factor.basis)
     if prior is not None:
         # The key is the prior object: an equal prior built again is a miss.
         twin = PriorStatistics(prior.mean, prior.covariance)
         max_prediction_mse(phi, 0.1, twin)
-        assert _svd_arrays.cache_info().misses == 2
+        assert _max_plan.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("kind", MEMO_KINDS)
@@ -769,16 +818,19 @@ def test_memoized_factor_gives_the_bits_of_a_fresh_one(kind):
         return [
             *(max_prediction_mse(phi, sigma2, prior) for sigma2 in MEMO_SIGMA2S),
             max_prediction_mse(phi, MEMO_SIGMA2S, prior),
+            max_prediction_mse(phi, MEMO_SIGMA2S, prior, 2.5),
             mse_curve(phi, np.linspace(0.0, 1.0, 11), 0.1, prior).mse_values,
+            prediction_covariance(phi, phi, 0.1, prior),
             fit.estimate,
             fit.error_covariance,
         ]
 
     run()
+    hits = _max_plan.cache_info().hits
     warm = run()
-    assert _svd_arrays.cache_info().hits >= len(warm)
+    assert _max_plan.cache_info().hits == hits + len(MEMO_SIGMA2S) + 2
     for j, cached in enumerate(warm):
-        _svd_arrays.cache_clear()
+        _max_plan.cache_clear()
         fresh = run()[j]
         assert np.asarray(cached).tobytes() == np.asarray(fresh).tobytes()
 
@@ -787,13 +839,13 @@ def test_a_design_edited_in_place_is_factored_again():
     order = 4
     phi = build_design_matrix(uniform_pilots(2 * order), order)
     other = build_design_matrix(allocate_pilots(order, 2 * order), order)
-    _svd_arrays.cache_clear()
+    _max_plan.cache_clear()
     before = max_prediction_mse(phi, 0.1)
     phi[:] = other
     after = max_prediction_mse(phi, 0.1)
-    assert _svd_arrays.cache_info().misses == 2
+    assert _max_plan.cache_info().misses == 2
     assert after != before
-    _svd_arrays.cache_clear()
+    _max_plan.cache_clear()
     assert after == max_prediction_mse(other.copy(), 0.1) == pytest.approx(0.1 * order / (2 * order), rel=1e-9)
 
 
@@ -802,8 +854,9 @@ def test_design_checks_and_rank_test_run_on_every_memoized_call():
     nan_design = phi.copy()
     nan_design[0, 0] = np.nan
     skewed = phi * np.array([1.0, 2.0, 1.0])
-    ls_estimate(skewed, np.ones(6), 0.1)  # memoizes the factor of the non-monomial design
+    ls_estimate(skewed, np.ones(6), 0.1)  # LS takes any basis; the MSE functions do not
     singular = build_design_matrix(uniform_pilots(15), 15)
+    _max_plan.cache_clear()
     for design, error in (
         (nan_design, NonFiniteInputError),
         (skewed, InvalidInputError),
@@ -813,11 +866,20 @@ def test_design_checks_and_rank_test_run_on_every_memoized_call():
         for _ in range(3):
             with pytest.raises(error):
                 max_prediction_mse(design, 0.1)
-    hits = _svd_arrays.cache_info().hits
+    # The NaN design fails before the lookup and the skewed one while its plan
+    # is built, every time.  The rank-deficient plans are kept, and each hit
+    # still runs the noise check, then the rank test.
+    info = _max_plan.cache_info()
+    assert (info.misses, info.hits) == (5, 4)
+    for design in (singular, phi[:2]):
+        with pytest.raises(InvalidNoiseError):
+            max_prediction_mse(design, np.nan)
+        assert _plan_of(design, None).unit is None
+    info = _max_plan.cache_info()
     for _ in range(3):
         with pytest.raises(RankDeficiencyError):
             ls_estimate(singular, np.ones(15), 0.1)
-    assert _svd_arrays.cache_info().hits == hits + 3
+    assert _max_plan.cache_info() == info
 
 
 def test_prior_root_is_read_only():
@@ -831,7 +893,7 @@ def test_max_prediction_mse_location_matches_a_dense_grid(order):
     points = 200_001
     for phi, prior, cap, allocation in _equivalence_cases(order):
         factor = _factor(phi, prior)
-        maxima, amplitudes = factor.max_mse(cap, EQUIVALENCE_SIGMA2S)
+        maxima, amplitudes = _MaxPlan(factor, cap).max_mse(EQUIVALENCE_SIGMA2S)
         grid = np.linspace(0.0, cap, points)
         on_grid = factor.mse(grid, EQUIVALENCE_SIGMA2S)
         for j, sigma2 in enumerate(EQUIVALENCE_SIGMA2S):
@@ -848,6 +910,53 @@ def test_max_prediction_mse_location_matches_a_dense_grid(order):
             assert on_grid[:, j].max() <= maxima[j] * (1 + 1e-12)
             if allocation == "uniform":
                 assert abs(amplitudes[j] - grid[np.argmax(on_grid[:, j])]) <= 2 * cap / (points - 1)
+
+
+def _high_precision_max_mse(mp, phi, sigma2, covariance):
+    """The maximum over [0, 1] of the LS (no ``covariance``) or LMMSE prediction
+    MSE of the real design ``phi``, and the MSE as a function, in ``mp``'s precision."""
+    order, rows = phi.shape[1], mp.matrix(phi.real.tolist())
+    gram, sigma2 = rows.T * rows, mp.mpf(sigma2)
+    if covariance is None:
+        error = gram**-1 * sigma2
+    else:
+        error = (gram / sigma2 + mp.matrix(covariance.tolist()) ** -1) ** -1
+    # f(a)^T E f(a) with f(a) = (a, ..., a^L): the coefficient of a^i sums E[k, l] over k + l + 2 = i.
+    coefficients = [mp.mpf(0)] * (2 * order + 1)
+    for k in range(order):
+        for l in range(order):
+            coefficients[k + l + 2] += error[k, l]
+
+    def mse(a):
+        return mp.polyval(coefficients[::-1], mp.mpf(a))
+
+    slope = [i * c for i, c in enumerate(coefficients)][1:]
+    roots = mp.polyroots(slope[::-1], maxsteps=200, extraprec=200)
+    critical = [r.real for r in roots if abs(r.imag) < mp.mpf(10) ** -30 and 0 <= r.real <= 1]
+    return max(mse(a) for a in [0, 1, *critical]), mse
+
+
+@pytest.mark.parametrize("order", [8, 12])
+def test_max_prediction_mse_matches_a_50_digit_reference(order):
+    # Uniform N = L pilots, where cond(Phi) reaches 1.7e6 at L = 8 and 5.8e9 at
+    # L = 12.  The SVD is backward stable, so sigma2 (Phi^H Phi)^-1 and the MSE
+    # carry a relative error of about cond(Phi) eps, and every tolerance here
+    # is that.  Measured at L = 8 and 12: 4.2e-11 and 6.3e-8 for LS, 3.5e-16
+    # and 4.2e-14 for LMMSE, and at most 1e-17 for the MSE at the returned amplitude.
+    # cond(Phi)^2 eps, the bound of the normal equations, is 7.4e3 at L = 12.
+    mp = pytest.importorskip("mpmath")
+    phi = build_design_matrix(uniform_pilots(order), order)
+    tolerance = np.linalg.cond(phi) * np.finfo(float).eps
+    covariance = 100.0 * np.eye(order)
+    # LS at sigma2 = 1 peaks inside the range; this prior peaks inside it at 1e-3.
+    for prior, sigma2 in ((None, 1.0), (PriorStatistics(np.zeros(order), covariance), 1e-3)):
+        with mp.workdps(50):
+            reference, mse = _high_precision_max_mse(mp, phi, sigma2, None if prior is None else covariance)
+            maxima, amplitudes = _plan_of(phi, prior).max_mse(np.array([sigma2]))
+            assert 0 < amplitudes[0] < 1
+            assert max_prediction_mse(phi, sigma2, prior) == maxima[0]
+            assert abs(maxima[0] / reference - 1) <= tolerance
+            assert abs(mse(amplitudes[0]) / reference - 1) <= tolerance
 
 
 def test_psd_ordering_ls_versus_lmmse():
@@ -914,6 +1023,30 @@ def test_every_estimator_rejects_invalid_noise(sigma2):
     for call in calls:
         with pytest.raises(InvalidNoiseError):
             call()
+
+
+COMPLEX_NOISE_CALLS = {
+    "ls_estimate": lambda phi, prior, sigma2: ls_estimate(phi, np.zeros(3), sigma2),
+    "lmmse_estimate": lambda phi, prior, sigma2: lmmse_estimate(phi, np.zeros(3), sigma2, prior),
+    "mse_curve": lambda phi, prior, sigma2: mse_curve(phi, [0.0, 1.0], sigma2),
+    "prediction_covariance": lambda phi, prior, sigma2: prediction_covariance(phi, phi, sigma2, prior),
+    "d_criterion": lambda phi, prior, sigma2: d_criterion(phi, sigma2),
+    "NoiseModel": lambda phi, prior, sigma2: NoiseModel(sigma2),
+    "max_prediction_mse": lambda phi, prior, sigma2: max_prediction_mse(phi, sigma2),
+    "max_prediction_mse-lmmse": lambda phi, prior, sigma2: max_prediction_mse(phi, sigma2, prior),
+    "max_prediction_mse-sweep": lambda phi, prior, sigma2: max_prediction_mse(phi, np.array([sigma2])),
+}
+
+
+@pytest.mark.parametrize("entry", COMPLEX_NOISE_CALLS)
+def test_a_complex_noise_variance_is_a_noise_error(entry):
+    # These ended in a bare TypeError, or dropped the imaginary part with only a warning.
+    phi = build_design_matrix(allocate_pilots(3, 3), 3)
+    prior = PriorStatistics(np.zeros(3), np.eye(3, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidNoiseError, match="real"):
+            COMPLEX_NOISE_CALLS[entry](phi, prior, 0.1 + 0j)
 
 
 @pytest.mark.parametrize("sigma2", [[], np.ones((2, 2)), [[0.1, 1.0]]], ids=["empty", "2x2", "1x2"])
