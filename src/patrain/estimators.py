@@ -44,18 +44,19 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def _require_noise_variance(sigma2: float) -> None:
-    """Reject a complex or non-finite noise variance, or a subnormal one, whose few
-    significant digits every MSE scaled by it would keep."""
-    if np.iscomplexobj(sigma2) or not (math.isfinite(sigma2) and sigma2 >= _SMALLEST_NORMAL):
+    """Reject a noise variance that is not a real number (complex, a string, ``None``),
+    a non-finite one, or a subnormal one, whose few significant digits every MSE
+    scaled by it would keep.  Real means a bool, integer or float dtype."""
+    if not (np.asarray(sigma2).dtype.kind in "biuf" and math.isfinite(sigma2) and sigma2 >= _SMALLEST_NORMAL):
         raise InvalidNoiseError(
             f"noise variance must be real, finite and at least {_SMALLEST_NORMAL:.3g}, got {sigma2!r}"
         )
 
 
 def _noise_variances(sigma2s) -> np.ndarray:
-    """``sigma2s`` as a float array; a complex one fails the noise check instead of losing its imaginary part."""
+    """``sigma2s`` as a float array; one that is not real fails the noise check instead of being cast."""
     sigma2s = np.asarray(sigma2s)
-    if sigma2s.dtype.kind == "c":
+    if sigma2s.dtype.kind not in "biuf":
         _require_noise_variance(sigma2s)
     return sigma2s.astype(float, copy=False)
 
@@ -241,8 +242,12 @@ class _Factor:
         """Prediction MSE ``sum_i |f(a)^T T v_i|^2 w_i`` at real nonnegative amplitudes (rows)
         for each noise variance (columns), with the monomial rows ``f(a) = (a, ..., a^L)``."""
         amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
+        return self.rows_mse(basis_rows(amplitudes, self.basis.shape[0]), sigma2s)
+
+    def rows_mse(self, rows, sigma2s) -> np.ndarray:
+        """:meth:`mse` at prediction ``rows`` from :func:`basis_rows`, built once for several factors."""
         with np.errstate(all="ignore"):
-            values = self.energies(basis_rows(amplitudes, self.basis.shape[0])) @ self.weights(sigma2s)
+            values = self.energies(rows) @ self.weights(sigma2s)
         return _require_finite_result(values, "prediction MSE")
 
 

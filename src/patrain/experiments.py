@@ -30,9 +30,10 @@ from .prior import (
     build_prior,
     default_fit_grid,
     draw_rapp_params,
+    fit_moments,
     fit_polynomial_to_curve,
     fit_realizations,
-    prior_from_fits,
+    prior_from_moments,
     rapp_response_blocks,
     read_csv_table,
 )
@@ -155,16 +156,17 @@ def run_fig4(
     }
     grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
     dist = RappDistribution()
-    # One set of fits serves both modes; each prior equals build_prior's for its mode.
-    fits = fit_realizations(PriorConfig(realizations, order, grid, COHERENT, seed), dist)
-    priors = {mode: prior_from_fits(fits, mode) for mode in (COHERENT, NONCOHERENT)}
-    # One factor per (allocation, prior) serves every SNR point of the sweep.
+    # One set of fits and one second moment serve both modes; each prior equals build_prior's.
+    moments = fit_moments(fit_realizations(PriorConfig(realizations, order, grid, COHERENT, seed), dist))
+    priors = [prior_from_moments(*moments, mode) for mode in (COHERENT, NONCOHERENT)]
+    # One factor per (allocation, prior) serves every SNR point of the sweep,
+    # and all six share the prediction rows.
     sigma2s = [snr_db_to_sigma2(snr_db, convention, n_pilots) for snr_db in snr_db_list]
-    amplitudes = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
+    rows = basis_rows(np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES), order).astype(complex)
     columns = [
-        _factor(designs[allocation], prior).mse(amplitudes, sigma2s).max(axis=0)
+        _factor(designs[allocation], prior).rows_mse(rows, sigma2s).max(axis=0)
         for allocation in ("uniform", "optimal")
-        for prior in (None, priors[COHERENT], priors[NONCOHERENT])
+        for prior in (None, *priors)
     ]
     return CsvTable(FIG4_COLUMNS, np.column_stack([snr_db_list, *columns]))
 

@@ -3,10 +3,12 @@
 Each realization draws Rapp parameters, evaluates the amplifier on a fixed
 amplitude grid and fits an order-L polynomial by least squares, as a product
 with the pseudo-inverse of the grid's basis rows, the same for every
-realization.  Realizations are processed in blocks of array operations that
-reproduce the sequential draws of :func:`draw_rapp_params` exactly.  The sample
-mean and covariance of the fitted coefficient vectors form the prior, either
-with the channel phase compensated (coherent) or averaged out (noncoherent).
+realization.  Realizations are processed in blocks of array operations whose
+draws consume the stream row by row, exactly as :func:`draw_rapp_params` would.
+The sample mean and complex second moment of the fitted coefficient vectors
+(:func:`fit_moments`) give the prior of either mode, with the channel phase
+compensated (coherent) or averaged out (noncoherent), so one set of fits and
+one moment serve both.
 :class:`CsvTable` writes every CSV file of the package, :func:`read_csv_table` reads them.
 """
 
@@ -122,16 +124,17 @@ def _draw_accepted(loc: np.ndarray, scale: np.ndarray, rng: np.random.Generator,
     """``count`` all-positive (gain, v_sat, smoothness) rows, rejecting as
     :func:`draw_rapp_params` does.
 
-    Each round draws exactly as many rows as are still missing, so the stream
-    is consumed row by row in the same order as the sequential loop.
+    Each round draws exactly as many rows as are still missing, as
+    ``loc + scale * z``, the bits of ``rng.normal(loc, scale)``, so the stream is
+    consumed row by row in the same order as the sequential loop.
     """
     kept = []
-    while count:
-        draws = rng.normal(loc, scale, size=(count, 3))
-        draws = draws[(draws > 0).all(axis=1)]
-        kept.append(draws)
-        count -= len(draws)
-    return np.concatenate(kept)
+    while True:
+        draws = loc + scale * rng.standard_normal((count, 3))
+        if draws.min() > 0:  # nothing rejected, the usual round
+            return np.concatenate([*kept, draws]) if kept else draws
+        kept.append(draws[(draws > 0).all(axis=1)])
+        count -= len(kept[-1])
 
 
 def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count: int, grid: np.ndarray):
@@ -191,29 +194,38 @@ def fit_realizations(config: PriorConfig, dist: RappDistribution) -> np.ndarray:
     """
     projector = _fit_projector(config.fit_grid, config.fit_order)
     blocks = rapp_response_blocks(dist, _seeded_rng(config.seed), config.realizations, config.fit_grid)
-    return np.concatenate([block @ projector for block in blocks]).astype(complex)
+    fits = np.empty((config.realizations, config.fit_order), dtype=complex)
+    for start, block in zip(range(0, config.realizations, FIT_BLOCK), blocks):
+        fits[start : start + len(block)] = block @ projector
+    return fits
 
 
-def prior_from_fits(coefficients: np.ndarray, mode: str) -> PriorStatistics:
-    """Prior statistics of the rows of ``coefficients`` in the given mode.
+def fit_moments(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and complex second moment ``sum_m b_m b_m^H / M`` of the ``M`` rows ``b_m`` of ``coefficients``."""
+    return coefficients.mean(axis=0), coefficients.T @ coefficients.conj() / len(coefficients)
+
+
+def prior_from_moments(mean: np.ndarray, second_moment: np.ndarray, mode: str) -> PriorStatistics:
+    """Prior statistics in the given mode from the moments :func:`fit_moments` returns.
 
     Coherent mode keeps the sample mean and centers the covariance with the
     Hermitian outer product of the mean.  Noncoherent mode zeroes the mean and
     uses the raw second moment, since a uniformly random phase rotation drops
     out of the outer products.
     """
-    realizations, order = coefficients.shape
-    second_moment = coefficients.T @ coefficients.conj() / realizations
     if mode == COHERENT:
-        mean = coefficients.mean(axis=0)
         covariance = second_moment - np.outer(mean, mean.conj())
     elif mode == NONCOHERENT:
-        mean = np.zeros(order, dtype=complex)
-        covariance = second_moment
+        mean, covariance = np.zeros(mean.size, dtype=complex), second_moment
     else:
         raise InvalidInputError(f"unknown prior mode: {mode!r}")
     covariance = 0.5 * (covariance + covariance.conj().T)
     return PriorStatistics(mean, covariance)
+
+
+def prior_from_fits(coefficients: np.ndarray, mode: str) -> PriorStatistics:
+    """Prior statistics of the rows of ``coefficients`` in the given mode (see :func:`prior_from_moments`)."""
+    return prior_from_moments(*fit_moments(coefficients), mode)
 
 
 def build_prior(config: PriorConfig, dist: RappDistribution) -> PriorStatistics:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,12 +315,24 @@ def test_import_does_not_load(module):
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("command", ["fig3", "fig4"])
-def test_fit_grid_runs_do_not_load_numpy_ma(command, tmp_path):
-    # np.unique imports numpy.ma, about 10 ms of a fresh run; the fit-grid
-    # check counts distinct points without it.
-    argv = [command, "--out", str(tmp_path / "out.csv")]
-    code = f"import sys, patrain.cli; patrain.cli.main({argv!r}); print('numpy.ma' in sys.modules)"
+GOLDEN = Path(__file__).parent / "golden"
+ESTIMATE = ["estimate", *(str(GOLDEN / f"estimate_{name}.csv") for name in ("pilots", "observations"))]
+ESTIMATE += ["--order", "5", "--sigma2", "0.01"]
+PRIOR_FILES = ["--prior-mean", str(GOLDEN / "estimate_prior_mean.csv")]
+PRIOR_FILES += ["--prior-cov", str(GOLDEN / "estimate_prior_cov.csv")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fig1"], ["fig2"], ["fig3"], ["fig4"], ["design"], ESTIMATE, [*ESTIMATE, *PRIOR_FILES]],
+    ids=["fig1", "fig2", "fig3", "fig4", "design", "estimate_ls", "estimate_lmmse"],
+)
+def test_no_subcommand_loads_numpy_ma(argv, tmp_path):
+    # np.unique imports numpy.ma, about 10 ms of a fresh run (the fit-grid
+    # check counts distinct points without it), and a stray import of it was
+    # seen to move the in-process fig4 time by several percent.
+    argv = [*argv, "--out", str(tmp_path / "out.csv")]
+    code = f"import sys, patrain.cli; assert patrain.cli.main({argv!r}) == 0; print('numpy.ma' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

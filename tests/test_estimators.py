@@ -35,7 +35,7 @@ from patrain import (
     uniform_pilots,
 )
 from patrain.estimators import _factor, _max_plan, _MaxPlan, _node_plan
-from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig3, snr_db_to_sigma2
+from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig1, run_fig3, snr_db_to_sigma2
 from patrain.pa_model import basis_rows
 from patrain.prior import (
     PriorConfig,
@@ -1047,6 +1047,24 @@ def test_a_complex_noise_variance_is_a_noise_error(entry):
         warnings.simplefilter("error")
         with pytest.raises(InvalidNoiseError, match="real"):
             COMPLEX_NOISE_CALLS[entry](phi, prior, 0.1 + 0j)
+
+
+NON_NUMERIC_NOISE_CALLS = {
+    **COMPLEX_NOISE_CALLS,
+    "prediction_mse": lambda phi, prior, sigma2: prediction_mse(phi, 0.5, sigma2),
+    "run_fig1": lambda phi, prior, sigma2: run_fig1(3, 3, sigma2),
+}
+
+
+@pytest.mark.parametrize("sigma2", ["0.1", None, b"0.1", object()], ids=["text", "none", "bytes", "object"])
+@pytest.mark.parametrize("entry", NON_NUMERIC_NOISE_CALLS)
+def test_a_noise_variance_that_is_not_a_real_number_is_a_noise_error(entry, sigma2):
+    # Text was parsed as a number by the MSE functions; the others ended in a
+    # bare TypeError or a UFuncTypeError.
+    phi = build_design_matrix(allocate_pilots(3, 3), 3)
+    prior = PriorStatistics(np.zeros(3), np.eye(3, dtype=complex))
+    with pytest.raises(InvalidNoiseError, match="real"):
+        NON_NUMERIC_NOISE_CALLS[entry](phi, prior, sigma2)
 
 
 @pytest.mark.parametrize("sigma2", [[], np.ones((2, 2)), [[0.1, 1.0]]], ids=["empty", "2x2", "1x2"])

@@ -13,6 +13,8 @@ from patrain import (
     RankDeficiencyError,
     RappDistribution,
     RappParameters,
+    allocate_pilots,
+    build_design_matrix,
     build_prior,
     default_fit_grid,
     draw_rapp_params,
@@ -21,7 +23,9 @@ from patrain import (
     load_prior,
     rapp_response,
     save_prior,
+    uniform_pilots,
 )
+from patrain.estimators import _factor
 
 DEGENERATE = RappDistribution(
     gain_variance=0.0, v_sat_variance=0.0, smoothness_variance=0.0
@@ -288,25 +292,46 @@ def test_fit_polynomial_to_curve_matches_its_fit_realizations_row():
 
 
 def test_fig4_priors_come_from_one_fit_and_equal_build_prior(monkeypatch):
-    fit_calls, priors = [], {}
+    fit_calls, moment_calls, priors = [], [], {}
 
     def counting_fit(config, dist):
         fit_calls.append(config)
         return prior_module.fit_realizations(config, dist)
 
-    def recording_prior(fits, mode):
-        priors[mode] = prior_module.prior_from_fits(fits, mode)
+    def counting_moments(fits):
+        moment_calls.append(fits)
+        return prior_module.fit_moments(fits)
+
+    def recording_prior(mean, second_moment, mode):
+        priors[mode] = prior_module.prior_from_moments(mean, second_moment, mode)
         return priors[mode]
 
     monkeypatch.setattr(experiments, "fit_realizations", counting_fit)
-    monkeypatch.setattr(experiments, "prior_from_fits", recording_prior)
+    monkeypatch.setattr(experiments, "fit_moments", counting_moments)
+    monkeypatch.setattr(experiments, "prior_from_moments", recording_prior)
     experiments.run_fig4(order=5, n_pilots=5, snr_db_list=[10.0], realizations=60, seed=4)
-    assert len(fit_calls) == 1
+    assert len(fit_calls) == 1 and len(moment_calls) == 1
     assert set(priors) == {"coherent", "noncoherent"}
     for mode, prior in priors.items():
         expected = build_prior(PriorConfig(60, 5, mode=mode, seed=4), RappDistribution())
         assert np.array_equal(prior.mean, expected.mean)
         assert np.array_equal(prior.covariance, expected.covariance)
+
+
+@pytest.mark.parametrize("realizations", [2, prior_module.FIT_BLOCK - 1, prior_module.FIT_BLOCK + 1, 2000])
+def test_fig4_columns_equal_the_per_mode_path(realizations):
+    # Each prior built on its own by build_prior, each factor's MSE on the
+    # amplitude grid rather than on shared complex rows: the same bits.
+    table = experiments.run_fig4(order=7, n_pilots=7, realizations=realizations, seed=11)
+    sigma2s = [experiments.snr_db_to_sigma2(snr, "per-symbol", 7) for snr in experiments.DEFAULT_SNR_SWEEP_DB]
+    grid = np.linspace(0.0, 1.0, experiments.FIGURE_MSE_SAMPLES)
+    for allocation, pilots in (("uniform", uniform_pilots(7)), ("optimal", allocate_pilots(7, 7))):
+        design = build_design_matrix(pilots, 7)
+        for suffix, mode in (("ls", None), ("lmmse_coh", "coherent"), ("lmmse_noncoh", "noncoherent")):
+            config = PriorConfig(realizations, 7, mode=mode or "coherent", seed=11)
+            prior = None if mode is None else build_prior(config, RappDistribution())
+            expected = _factor(design, prior).mse(grid, sigma2s).max(axis=0)
+            assert np.array_equal(table.column(f"d_{allocation}_{suffix}"), expected)
 
 
 def test_prior_from_fits_rejects_unknown_mode():
