@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, PilotAllocationError, RankDeficiencyError
-from .estimators import _factor, _Factor, _seeded_rng
+from .estimators import _checked_design, _factor, _Factor, _seeded_rng
 from .pa_model import PilotSequence, build_design_matrix
 
 # Exchange search: a sweep that moves no pilot ends it.  A move must raise the
@@ -99,7 +99,7 @@ def d_criterion(design: np.ndarray, sigma2: float) -> DesignCriterionValue:
     :func:`ls_estimate` raises, yields an infinite value.
     """
     try:
-        s = _factor(design).singular_values([sigma2])[:, 0]
+        s = _factor(_checked_design(design, None)).singular_values([sigma2])[:, 0]
     except RankDeficiencyError:
         return DesignCriterionValue(np.inf)
     return DesignCriterionValue(float(s.size * np.log(sigma2) - 2.0 * np.sum(np.log(s))))

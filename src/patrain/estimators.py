@@ -179,7 +179,9 @@ class _Factor:
     ``T`` is the identity for LS and the prior root for LMMSE.  ``s`` is padded
     with zeros to the ``k`` columns of ``T`` and ``basis`` is ``T V``, so the
     factored system at noise variance ``sigma2`` has the singular values
-    ``sqrt(s^2 + rho sigma2)``, with ``rho`` 0 for LS and 1 for LMMSE.
+    ``sqrt(s^2 + rho sigma2)``, with ``rho`` 0 for LS and 1 for LMMSE.  A stack of
+    factors holds each array with a leading stack axis; only one factor takes
+    :meth:`covariance` and :meth:`update`.
     """
 
     u: np.ndarray
@@ -191,25 +193,26 @@ class _Factor:
         """Singular values of the factored system, one column per noise variance
         in ``sigma2s``, after each one's noise check and the one rank test,
         ``cond >= CONDITION_LIMIT`` without dividing by zero (a system with no
-        direction left passes).  The first ``sigma2`` that fails either raises.
+        direction left passes).  The first ``sigma2`` that fails either raises,
+        in the first factor of a stack that fails.
         """
         sigma2s = _noise_variances(sigma2s)
         # The comparisons are False for NaN, and the abs keeps the square root
         # quiet on a negative sigma2, which fails the noise check anyway.
         valid = (sigma2s >= _SMALLEST_NORMAL) & (sigma2s < math.inf)
         if self.regularized:
-            sv = np.hypot(self.s[:, None], np.sqrt(np.abs(sigma2s)))
+            sv = np.hypot(self.s[..., None], np.sqrt(np.abs(sigma2s)))
         else:
-            sv = self.s[:, None].repeat(sigma2s.size, axis=1)
+            sv = self.s[..., None].repeat(sigma2s.size, axis=-1)
         # s comes sorted in descending order, and so does every column of sv.
-        passed = valid & (sv[-1] * CONDITION_LIMIT > sv[0]) if sv.shape[0] else valid
+        passed = valid & (sv[..., -1, :] * CONDITION_LIMIT > sv[..., 0, :]) if sv.shape[-2] else valid
         if not passed.all():
-            j = int(passed.argmin())
+            *stack, j = np.unravel_index(passed.argmin(), passed.shape)
             _require_noise_variance(float(sigma2s[j]))
-            cond = float(sv[0, j]) / float(sv[-1, j]) if sv[-1, j] > 0 else math.inf
+            top, bottom = float(sv[(*stack, 0, j)]), float(sv[(*stack, -1, j)])
             raise RankDeficiencyError(
-                "the factored system is numerically rank deficient: "
-                f"condition number {cond:.3e} reaches CONDITION_LIMIT = {CONDITION_LIMIT:.0e}"
+                "the factored system is numerically rank deficient: condition number "
+                f"{top / bottom if bottom > 0 else math.inf:.3e} reaches CONDITION_LIMIT = {CONDITION_LIMIT:.0e}"
             )
         return sv
 
@@ -242,12 +245,19 @@ class _Factor:
         """Prediction MSE ``sum_i |f(a)^T T v_i|^2 w_i`` at real nonnegative amplitudes (rows)
         for each noise variance (columns), with the monomial rows ``f(a) = (a, ..., a^L)``."""
         amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-        return self.rows_mse(basis_rows(amplitudes, self.basis.shape[0]), sigma2s)
+        return self.rows_mse(basis_rows(amplitudes, self.basis.shape[-2]), sigma2s)
 
     def rows_mse(self, rows, sigma2s) -> np.ndarray:
-        """:meth:`mse` at prediction ``rows`` from :func:`basis_rows`, built once for several factors."""
+        """:meth:`mse` at prediction ``rows`` from :func:`basis_rows`, built once for several factors.
+        An LS MSE is ``sigma2`` times ``sum_i |rows @ T v_i / s_i|^2``, so it raises only where it overflows."""
+        sigma2s = _noise_variances(sigma2s)
         with np.errstate(all="ignore"):
-            values = self.energies(rows) @ self.weights(sigma2s)
+            if self.regularized:
+                values = self.energies(rows) @ self.weights(sigma2s)
+            else:
+                self.singular_values(sigma2s)
+                s = self.s[..., None, :]
+                values = (self.energies(rows) / s / s).sum(axis=-1, keepdims=True) * sigma2s
         return _require_finite_result(values, "prediction MSE")
 
 
@@ -266,13 +276,16 @@ def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor
     the prior root kept by :class:`PriorStatistics`.  With more columns than pilots
     the full ``V`` is taken and ``s`` padded with zeros, so an LS system with too few
     pilots fails the one rank test, :meth:`_Factor.singular_values`, with cond ``inf``.
+    ``design`` is checked (:func:`_checked_design`), or a stack of checked designs
+    along a leading axis, whose factors each equal their design's own bit for bit.
     """
-    design = _checked_design(design, prior)
     whitened = design if prior is None else design @ prior._whiten
-    k = whitened.shape[1]
-    u, s, vh = np.linalg.svd(whitened, full_matrices=len(design) < k)
-    basis = vh.conj().T if prior is None else prior._whiten @ vh.conj().T
-    return _Factor(u, np.concatenate([s, np.zeros(k - s.size)]), basis, prior is not None)
+    k = whitened.shape[-1]
+    u, s, vh = np.linalg.svd(whitened, full_matrices=design.shape[-2] < k)
+    basis = vh.conj().swapaxes(-1, -2)
+    if s.shape[-1] < k:
+        s = np.concatenate([s, np.zeros((*s.shape[:-1], k - s.shape[-1]))], axis=-1)
+    return _Factor(u, s, basis if prior is None else prior._whiten @ basis, prior is not None)
 
 
 def _monomial_design(design: np.ndarray, prior: PriorStatistics | None) -> np.ndarray:
@@ -301,7 +314,7 @@ def _check_observations(design: np.ndarray, observations: np.ndarray) -> np.ndar
 def ls_estimate(design: np.ndarray, observations: np.ndarray, sigma2: float) -> EstimationResult:
     """Least-squares estimate with error covariance ``sigma2 * (Phi^H Phi)^-1``."""
     observations = _check_observations(design, observations)
-    factor = _factor(design)
+    factor = _factor(_checked_design(design, None))
     covariance = factor.covariance(sigma2)
     return EstimationResult(factor.update(observations, sigma2), covariance)
 
@@ -318,7 +331,7 @@ def lmmse_estimate(
     prior eigenvalue are taken as known.
     """
     observations = _check_observations(design, observations)
-    factor = _factor(design, prior)
+    factor = _factor(_checked_design(design, prior), prior)
     covariance = factor.covariance(sigma2)
     if observations.size == 0:
         return EstimationResult(prior.mean.copy(), prior.covariance.copy())
@@ -337,7 +350,7 @@ def prediction_covariance(
     Returns ``sigma2 * Phi_t (Phi^H Phi)^-1 Phi_t^H`` without a prior and the
     LMMSE counterpart when one is given.
     """
-    factor = _factor(design, prior)
+    factor = _factor(_checked_design(design, prior), prior)
     prediction_design = np.asarray(prediction_design, dtype=complex)
     if prediction_design.ndim != 2 or prediction_design.shape[1] != factor.basis.shape[0]:
         raise DimensionMismatchError("prediction matrix width must match the design matrix")
@@ -465,20 +478,23 @@ class _MaxPlan:
         """Maximal prediction MSE over ``[0, max_amplitude]`` per noise variance
         in the 1-D ``sigma2s``, and the amplitude where each maximum sits.
 
-        The weights run the noise check and the rank test; LS then scales
-        ``unit``.  Otherwise the node values of every ``sigma2`` go to the
-        derivative coefficients in one product with the node plan's map, each
-        column's roots come from :meth:`_NodePlan.roots`, and the endpoints and
-        clipped roots are scored with the weights already taken.
+        LS scales ``unit`` after the noise check of each ``sigma2``, so it
+        raises only where that product overflows.  Otherwise the weights run
+        the noise check and the rank test, the node values of every ``sigma2``
+        go to the derivative coefficients in one product with the node plan's
+        map, each column's roots come from :meth:`_NodePlan.roots`, and the
+        endpoints and clipped roots are scored with the weights already taken.
         """
         sigma2s = _noise_variances(sigma2s)
         factor, order, half = self.factor, self.factor.basis.shape[0], 0.5 * self.max_amplitude
         with np.errstate(all="ignore"):
-            # Weights that overflow raise on both paths, as in every MSE here.
-            weights = _require_finite_result(factor.weights(sigma2s), "prediction MSE")
             if self.unit is not None:
+                # The rank test passed with the unit maximum and does not depend on sigma2.
+                for sigma2 in sigma2s:
+                    _require_noise_variance(float(sigma2))
                 maxima = sigma2s * self.unit[0]
                 return _require_finite_result(maxima, "prediction MSE"), np.full(sigma2s.size, self.unit[1])
+            weights = _require_finite_result(factor.weights(sigma2s), "prediction MSE")
             plan = _node_plan(order, self.max_amplitude)
             maxima, amplitudes = np.empty(weights.shape[1]), np.empty(weights.shape[1])
             slopes = plan.slope_map @ (self.node_values @ weights)

@@ -119,7 +119,8 @@ def run_fig3(
     # The fit checks the grid, so it comes before any draw.
     fit_model = fit_polynomial_to_curve(nominal_params, order, grid)
     rng = _seeded_rng(seed)
-    responses = np.concatenate(list(rapp_response_blocks(dist, rng, realizations, grid)))
+    # The blocks are column-major; numpy sums a column-major axis 0 in another order.
+    responses = np.ascontiguousarray(np.concatenate(list(rapp_response_blocks(dist, rng, realizations, grid))))
     nominal = rapp_response(nominal_params, grid)
     fitted = basis_rows(grid, order) @ fit_model.coefficients.real
     mean = responses.mean(axis=0)
@@ -150,24 +151,19 @@ def run_fig4(
 ) -> CsvTable:
     """Maximal prediction MSE against SNR for every estimator and allocation."""
     # The designs come first, so a bad pilot count fails before the prior fits.
-    designs = {
-        "uniform": build_design_matrix(uniform_pilots(n_pilots), order),
-        "optimal": build_design_matrix(allocate_pilots(order, n_pilots), order),
-    }
+    pilots = (uniform_pilots(n_pilots), allocate_pilots(order, n_pilots))
+    designs = np.stack([build_design_matrix(sequence, order) for sequence in pilots])
     grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
     dist = RappDistribution()
     # One set of fits and one second moment serve both modes; each prior equals build_prior's.
     moments = fit_moments(fit_realizations(PriorConfig(realizations, order, grid, COHERENT, seed), dist))
     priors = [prior_from_moments(*moments, mode) for mode in (COHERENT, NONCOHERENT)]
-    # One factor per (allocation, prior) serves every SNR point of the sweep,
-    # and all six share the prediction rows.
-    sigma2s = [snr_db_to_sigma2(snr_db, convention, n_pilots) for snr_db in snr_db_list]
+    # One factor of the stacked (uniform, optimal) designs per prior serves
+    # every SNR point of the sweep, and all three share the prediction rows.
+    sigma2s = np.array([snr_db_to_sigma2(snr_db, convention, n_pilots) for snr_db in snr_db_list], dtype=float)
     rows = basis_rows(np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES), order).astype(complex)
-    columns = [
-        _factor(designs[allocation], prior).rows_mse(rows, sigma2s).max(axis=0)
-        for allocation in ("uniform", "optimal")
-        for prior in (None, *priors)
-    ]
+    maxima = [_factor(designs, prior).rows_mse(rows, sigma2s).max(axis=-2) for prior in (None, *priors)]
+    columns = [per_prior[allocation] for allocation in (0, 1) for per_prior in maxima]
     return CsvTable(FIG4_COLUMNS, np.column_stack([snr_db_list, *columns]))
 
 

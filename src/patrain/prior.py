@@ -143,7 +143,8 @@ def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count
     Yields ``(k, grid.size)`` arrays of at most :data:`FIT_BLOCK` rows, in draw
     order.  The parameters are the ones ``count`` calls to
     :func:`draw_rapp_params` return, and each row equals :func:`rapp_response`
-    for them, bit for bit.
+    for them, bit for bit.  Each block is evaluated grid-major, so the
+    realizations run along the long inner axis, and yielded column-major.
     """
     if count < 1:
         raise InvalidInputError(f"realization count must be >= 1, got {count}")
@@ -153,8 +154,8 @@ def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count
     loc = np.array([dist.gain_mean, dist.v_sat_mean, dist.smoothness_mean])
     scale = np.sqrt([dist.gain_variance, dist.v_sat_variance, dist.smoothness_variance])
     for start in range(0, count, FIT_BLOCK):
-        params = _draw_accepted(loc, scale, rng, min(FIT_BLOCK, count - start))
-        yield rapp_am_am(params[:, :1], params[:, 1:2], params[:, 2:], grid)
+        gain, v_sat, smoothness = _draw_accepted(loc, scale, rng, min(FIT_BLOCK, count - start)).T
+        yield rapp_am_am(gain, v_sat, smoothness, grid[:, None]).T
 
 
 def _check_fit_grid(grid: np.ndarray, order: int) -> None:
@@ -170,18 +171,17 @@ def _check_fit_grid(grid: np.ndarray, order: int) -> None:
 
 
 def _fit_projector(grid: np.ndarray, order: int) -> np.ndarray:
-    """``G x order`` matrix ``P`` whose ``responses @ P`` fits each response row on ``grid``
-    by least squares: the transposed pseudo-inverse of the grid's basis rows, with
+    """``G x order`` matrix ``P`` whose ``responses @ P`` fits each response row on a checked
+    ``grid`` by least squares: the transposed pseudo-inverse of the grid's basis rows, with
     numpy's least-squares default cutoff ``max(G, order) eps``."""
-    _check_fit_grid(grid, order)
     return np.linalg.pinv(basis_rows(grid, order), rcond=max(grid.size, order) * np.finfo(float).eps).T
 
 
 def fit_polynomial_to_curve(params: RappParameters, order: int, grid: np.ndarray) -> PaPolynomial:
     """Least-squares polynomial fit to the Rapp response sampled on ``grid``."""
     grid = np.asarray(grid, dtype=float)
-    projector = _fit_projector(grid, order)
-    return PaPolynomial(rapp_response(params, grid) @ projector)
+    _check_fit_grid(grid, order)
+    return PaPolynomial(rapp_response(params, grid) @ _fit_projector(grid, order))
 
 
 def fit_realizations(config: PriorConfig, dist: RappDistribution) -> np.ndarray:

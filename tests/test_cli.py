@@ -384,6 +384,13 @@ def test_fig4_beyond_the_monomial_order_range_is_numerical_error(capsys):
         assert "distinct" not in err
 
 
+def test_fig4_rank_failure_names_the_uniform_ls_factor(capsys):
+    # fig4 factors both allocations as one stack per prior; the first factor
+    # that fails is still the uniform LS one, so the message names its cond.
+    assert cli.main(["fig4", "--order", "15", "--pilots", "15"]) == 3
+    assert "condition number 2.703e+12 reaches CONDITION_LIMIT" in capsys.readouterr().err
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -432,9 +439,9 @@ def test_estimate_rejects_a_malformed_line_in_any_csv(tmp_path, capsys, target, 
 @pytest.mark.parametrize(
     "command",
     [
-        ["fig1", "--order", "12", "--pilots", "24", "--sigma2", "1e300"],
+        ["fig1", "--order", "12", "--pilots", "24", "--sigma2", "1e308"],
         ["fig3", "--realizations", "3", "--fit-grid-max", "1e300", "--fit-grid-step", "1e298"],
-        ["fig4", "--realizations", "3", "--snr-db-list=-3000"],
+        ["fig4", "--realizations", "3", "--snr-db-list=-3080"],
     ],
     ids=lambda command: command[0],
 )

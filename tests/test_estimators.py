@@ -438,11 +438,23 @@ def test_mse_and_covariance_beyond_the_float_range_raise_noise_errors():
     # These used to come back as inf and nan, with only a RuntimeWarning.
     phi = build_design_matrix(uniform_pilots(24), 12)
     with pytest.raises(InvalidNoiseError, match="overflow"):
-        mse_curve(phi, np.linspace(0, 1, 501), 1e300)
+        mse_curve(phi, np.linspace(0, 1, 501), 1e308)
     with pytest.raises(InvalidNoiseError, match="overflow"):
         ls_estimate(phi, np.zeros(24), 1e300)
     with pytest.raises(InvalidNoiseError, match="overflow"):
-        max_prediction_mse(phi, 1e300)
+        max_prediction_mse(phi, 1e308)
+
+
+def test_an_ls_mse_inside_the_float_range_is_returned():
+    # sigma2 / s^2 overflows on this design, but sigma2 times the MSE at sigma2 = 1 does not.
+    phi = build_design_matrix(uniform_pilots(24), 12)
+    assert max_prediction_mse(phi, 1e300) == 1e300 * max_prediction_mse(phi, 1.0)
+    assert max_prediction_mse(phi, 1e300) == pytest.approx(1.9906536852687255e300, rel=1e-12)
+    assert mse_curve(phi, [0.5], 1e300).mse_values[0] == pytest.approx(1e300 * prediction_mse(phi, 0.5, 1.0), rel=1e-14)
+    # Nor does s^-2 overflow first where s is tiny: at a 1e-160 cap the MSE is
+    # finite, to the five or so digits its subnormal energies keep.
+    tiny = build_design_matrix(uniform_pilots(2, 1e-160), 1)
+    assert mse_curve(tiny, [1e-160], 1e-300).mse_values[0] == pytest.approx(8e-301, rel=1e-4)
 
 
 def test_ls_design_whose_unit_maximum_overflows_takes_the_root_step():
@@ -1217,6 +1229,87 @@ def test_sigma2_sweep_matches_per_sigma2_curves(order, pilots, kind):
     single = np.array([mse_curve(phi, grid, sigma2, prior).mse_values.max() for sigma2 in sigma2s])
     assert_allclose(sweep, single, rtol=1e-12 if order <= 8 else 1e-9, atol=0)
     assert [format(v, ".9g") for v in sweep] == [format(v, ".9g") for v in single]
+
+
+def _failure(call):
+    """The class and message of the error ``call`` raises, or ``None``."""
+    try:
+        call()
+    except (RankDeficiencyError, InvalidNoiseError) as error:
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["none", "full", "rank-deficient", "zero"])
+@pytest.mark.parametrize("order", range(1, 13))
+def test_stacked_factor_equals_each_designs_factor_bit_for_bit(order, kind):
+    # fig4 factors its (uniform, optimal) designs as one stack per prior: each
+    # factor of the stack, and its MSE sweep, is the design's own.
+    rng = np.random.default_rng(100 + order)
+    prior = _sweep_prior(kind, order, rng)
+    sigma2s = np.array([snr_db_to_sigma2(snr_db, "per-symbol", 1) for snr_db in DEFAULT_SNR_SWEEP_DB])
+    rows = basis_rows(np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES), order).astype(complex)
+    for n_pilots in (order - 1, order, 2 * order):
+        symbols = rng.uniform(0.05, 1.0, n_pilots) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_pilots))
+        uniform = np.arange(1, n_pilots + 1) / max(n_pilots, 1) + 0j
+        designs = np.stack([basis_rows(uniform, order), basis_rows(symbols, order)])
+        stacked = _factor(designs, prior)
+        failures = [_failure(lambda: _factor(design, prior).rows_mse(rows, sigma2s)) for design in designs]
+        assert _failure(lambda: stacked.rows_mse(rows, sigma2s)) == next(filter(None, failures), None)
+        for index, design in enumerate(designs):
+            single = _factor(design, prior)
+            for name in ("u", "s", "basis"):
+                assert np.array_equal(getattr(stacked, name)[index], getattr(single, name)), (n_pilots, name)
+            if not any(failures):
+                assert np.array_equal(stacked.rows_mse(rows, sigma2s)[index], single.rows_mse(rows, sigma2s))
+
+
+@pytest.mark.parametrize("sigma2s", [[1.0], [1.0, np.nan], [np.nan, 1.0], [1.0, 1e-320]])
+@pytest.mark.parametrize("kind", ["none", "full"])
+def test_a_stack_fails_as_its_factors_do_one_by_one(kind, sigma2s):
+    # The stack raises what a loop over its designs in order raises first: the
+    # first failing factor decides, at its first failing sigma2.
+    prior = _sweep_prior(kind, 4, np.random.default_rng(5))
+    designs = np.stack(
+        [build_design_matrix(allocate_pilots(4, 4), 4)]
+        + [basis_rows(np.array(amplitudes), 4) + 0j for amplitudes in ([0.5, 0.5, 1.0, 1.0], [0.2, 0.2, 0.2, 1.0])]
+    )
+    rows = basis_rows(np.linspace(0.0, 1.0, 11), 4).astype(complex)
+    loop = [_failure(lambda: _factor(design, prior).rows_mse(rows, sigma2s)) for design in designs]
+    expected = next((failure for failure in loop if failure), None)
+    assert _failure(lambda: _factor(designs, prior).rows_mse(rows, sigma2s)) == expected
+    assert _failure(lambda: _factor(designs[1:], prior).rows_mse(rows, sigma2s)) == loop[1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda phi, prior: ls_estimate(phi, np.zeros(len(phi)), 1.0),
+        lambda phi, prior: lmmse_estimate(phi, np.zeros(len(phi)), 1.0, prior),
+        lambda phi, prior: prediction_covariance(phi, phi[0], 1.0),
+        lambda phi, prior: prediction_covariance(phi, phi[0], 1.0, prior),
+        lambda phi, prior: prediction_mse(phi, 0.5, 1.0, prior),
+        lambda phi, prior: mse_curve(phi, [0.5], 1.0),
+        lambda phi, prior: max_prediction_mse(phi, 1.0),
+        lambda phi, prior: max_prediction_mse(phi, 1.0, prior),
+        lambda phi, prior: d_criterion(phi, 1.0),
+    ],
+    ids=[
+        "ls_estimate",
+        "lmmse_estimate",
+        "prediction_covariance",
+        "prediction_covariance_lmmse",
+        "prediction_mse",
+        "mse_curve",
+        "max_prediction_mse",
+        "max_prediction_mse_lmmse",
+        "d_criterion",
+    ],
+)
+def test_public_entry_points_reject_a_stack_of_designs(call):
+    phi = build_design_matrix(allocate_pilots(3, 6), 3)
+    with pytest.raises(DimensionMismatchError):
+        call(np.stack([phi, phi]), PriorStatistics(np.zeros(3), np.eye(3)))
 
 
 def test_equal_priors_have_equal_repr():

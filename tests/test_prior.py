@@ -221,7 +221,10 @@ REJECTION_HEAVY = RappDistribution(gain_mean=0.1, gain_variance=1.0)
 
 
 @pytest.mark.parametrize("dist", [RappDistribution(), DEGENERATE, REJECTION_HEAVY])
-@pytest.mark.parametrize("count", [prior_module.FIT_BLOCK - 1, prior_module.FIT_BLOCK, prior_module.FIT_BLOCK + 1])
+@pytest.mark.parametrize(
+    "count",
+    [1, prior_module.FIT_BLOCK - 1, prior_module.FIT_BLOCK, prior_module.FIT_BLOCK + 1, 2 * prior_module.FIT_BLOCK + 1],
+)
 def test_block_draw_matches_sequential_stream(dist, count):
     grid = default_fit_grid()
     sequential_rng = np.random.default_rng(17)
@@ -232,6 +235,30 @@ def test_block_draw_matches_sequential_stream(dist, count):
     assert np.array_equal(np.concatenate(blocks), expected)
     # The same number of normals was consumed, rejected draws included.
     assert block_rng.bit_generator.state == sequential_rng.bit_generator.state
+
+
+def test_fit_realizations_equals_the_product_of_c_ordered_blocks():
+    # The blocks are column-major views; a BLAS whose transposed-operand product
+    # rounds differently from the C-ordered one fails here.
+    config = PriorConfig(2 * prior_module.FIT_BLOCK + 3, 7, seed=4)
+    blocks = prior_module.rapp_response_blocks(
+        RappDistribution(), np.random.default_rng(4), config.realizations, config.fit_grid
+    )
+    projector = prior_module._fit_projector(config.fit_grid, 7)
+    expected = np.concatenate([np.ascontiguousarray(block) @ projector for block in blocks])
+    assert np.array_equal(prior_module.fit_realizations(config, RappDistribution()), expected)
+
+
+@pytest.mark.parametrize("realizations", [1, 2, prior_module.FIT_BLOCK, prior_module.FIT_BLOCK + 44])
+def test_fig3_statistics_equal_those_of_c_ordered_responses(realizations):
+    # The mean and bands of row-major responses drawn one by one, bit for bit.
+    grid = default_fit_grid()
+    rng = np.random.default_rng(11)
+    responses = np.array([rapp_response(draw_rapp_params(RappDistribution(), rng), grid) for _ in range(realizations)])
+    mean, spread = responses.mean(axis=0), 2.0 * responses.std(axis=0)
+    table = experiments.run_fig3(realizations, 7, seed=11)
+    for name, expected in (("mean", mean), ("lower_band", mean - spread), ("upper_band", mean + spread)):
+        assert np.array_equal(table.column(name), expected), name
 
 
 @pytest.mark.parametrize("mode", ["coherent", "noncoherent"])
