@@ -34,7 +34,7 @@ from patrain import (
     rapp_response,
     uniform_pilots,
 )
-from patrain.estimators import _factor, _max_plan, _MaxPlan, _node_plan
+from patrain.estimators import _factor, _max_plan, _MaxPlan, _node_plan, _NodePlan
 from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig1, run_fig3, snr_db_to_sigma2
 from patrain.pa_model import basis_rows
 from patrain.prior import (
@@ -539,6 +539,9 @@ def test_max_prediction_mse_finds_an_interior_maximum_on_a_subrange(order):
         grid_max = on_grid.max()
         if n_pilots >= 4:
             assert 0.0 < grid[on_grid.argmax()] < cap, n_pilots
+        # No case here passes the Bernstein certificate of a maximum at the cap.
+        factor = _factor(phi)
+        assert not _MaxPlan(factor, cap).at_cap(factor.weights([1.0]))[0], n_pilots
         assert value >= grid_max, n_pilots
         assert value <= grid_max * (1 + 1e-8), n_pilots
 
@@ -713,6 +716,98 @@ def test_max_prediction_mse_of_one_noise_variance_is_the_one_column_sweep(order)
         for sigma2 in EQUIVALENCE_SIGMA2S:
             value = max_prediction_mse(phi, sigma2, prior, cap)
             assert value == max_prediction_mse(phi, np.array([sigma2]), prior, cap)[0]
+
+
+FIG4_SIGMA2S = np.array([snr_db_to_sigma2(snr_db, "per-symbol", 1) for snr_db in DEFAULT_SNR_SWEEP_DB])
+
+
+def _root_step_plan(phi, prior, cap):
+    """A plan without the Bernstein certificate or the LS unit maximum: every column takes the root step."""
+    plan = _MaxPlan(_factor(phi, prior), cap)
+    plan.bernstein = plan.unit = None
+    return plan
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_certified_maxima_equal_the_root_step(order):
+    # Every column the certificate passes has its maximum at the cap by the
+    # root step too.  Measured over these cases at L = 2..12: 991 certified
+    # columns, 918 of them bit for bit and the rest within 2.2e-16 relative,
+    # the round-off of the cap's row in a product of another height.
+    certified = 0
+    for phi, prior, cap, _ in _equivalence_cases(order):
+        plan = _MaxPlan(_factor(phi, prior), cap)
+        plan.unit = None
+        at_cap = plan.at_cap(plan.factor.weights(FIG4_SIGMA2S))
+        maxima, amplitudes = plan.max_mse(FIG4_SIGMA2S)
+        reference, located = _root_step_plan(phi, prior, cap).max_mse(FIG4_SIGMA2S)
+        assert_allclose(maxima[at_cap], reference[at_cap], rtol=1e-15, atol=0)
+        assert (amplitudes[at_cap] == cap).all() and (located[at_cap] == cap).all()
+        # Every other column takes the root step unchanged.
+        assert np.array_equal(maxima[~at_cap], reference[~at_cap])
+        assert np.array_equal(amplitudes[~at_cap], located[~at_cap])
+        certified += at_cap.sum()
+    assert certified > 0
+
+
+def test_most_lmmse_maxima_of_the_fig4_sweep_are_certified():
+    # The (L, N) pairs of perfbench's estimator_sweep (L = 4..7, N = L and 2L,
+    # uniform and optimal pilots) with a prior fitted to 200 Rapp amplifiers and
+    # a rank-deficient one fitted to L - 1, over four prior seeds.  Measured:
+    # 1126 of 1280 columns certified, 80 % to 98 % per seed, because a
+    # rank-deficient prior often peaks inside the range; that is 1126 of the
+    # 1164 columns whose maximum sits at the cap.
+    certified = at_cap = total = 0
+    for seed in range(4):
+        for order in range(4, 8):
+            priors = [
+                build_prior(PriorConfig(count, order, seed=1000 * seed + 10 * order + (count < 200)), RappDistribution())
+                for count in (200, order - 1)
+            ]
+            for n_pilots in (order, 2 * order):
+                for pilots in (uniform_pilots(n_pilots), allocate_pilots(order, n_pilots)):
+                    phi = build_design_matrix(pilots, order)
+                    for prior in priors:
+                        plan = _MaxPlan(_factor(phi, prior), 1.0)
+                        passed = plan.at_cap(plan.factor.weights(FIG4_SIGMA2S))
+                        _, amplitudes = _root_step_plan(phi, prior, 1.0).max_mse(FIG4_SIGMA2S)
+                        assert (amplitudes[passed] == 1.0).all()
+                        certified += passed.sum()
+                        at_cap += (amplitudes == 1.0).sum()
+                        total += passed.size
+    assert certified >= 0.85 * total
+    assert certified >= 0.95 * at_cap
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_a_noise_variance_inside_a_sweep_matches_its_scalar_call(order):
+    # Measured over these cases: at most 2.5e-12 relative up to L = 8 and
+    # 2.1e-10 at L = 12, both on uniform N = L pilots over [0, 2.5] with a
+    # full-rank prior, where the derivative coefficients of the root step come
+    # from a product of another width.  A maximum certified at the cap in both
+    # forms is evaluated alike, so it is the same bits.
+    bound = 1e-11 if order <= 8 else 1e-9
+    for phi, prior, cap, _ in _equivalence_cases(order):
+        swept = max_prediction_mse(phi, FIG4_SIGMA2S, prior, cap)
+        plan = _plan_of(phi, prior, cap)
+        at_cap = plan.at_cap(plan.factor.weights(FIG4_SIGMA2S))
+        for j, sigma2 in enumerate(FIG4_SIGMA2S):
+            alone = max_prediction_mse(phi, sigma2, prior, cap)
+            assert swept[j] == pytest.approx(alone, rel=bound)
+            if at_cap[j] and plan.at_cap(plan.factor.weights([sigma2]))[0]:
+                assert swept[j] == alone
+
+
+def test_no_certificate_without_normal_products_or_float_binomials():
+    # At a 1e-160 cap the powers of the cap times the parts of T V fall below
+    # the normal range, so the bound on round-off would not hold.
+    phi = build_design_matrix(uniform_pilots(2, 1e-160), 1)
+    assert _MaxPlan(_factor(phi), 1e-160).bernstein is None
+    assert _MaxPlan(_factor(build_design_matrix(uniform_pilots(2), 1)), 1.0).bernstein is not None
+    # C(8L, 4L) leaves the float range from L = 129.
+    assert _NodePlan(128, 1.0).raise_map is not None
+    beyond = _NodePlan(129, 1.0)
+    assert beyond.raise_map is None and beyond.bernstein(np.eye(129)) is None
 
 
 SCALING_SIGMA2S = np.geomspace(1e-3, 10, 10)
