@@ -25,17 +25,16 @@ polynomial of degree ``2L`` in the amplitude ``a``.
 - Root step.  Every other ``sigma2`` takes the derivative's roots.  The MSE's
   values at the ``2L + 1`` first-kind Chebyshev nodes fix it; one matrix
   product takes them to the Chebyshev coefficients of its derivative, and
-  the roots are the eigenvalues of that series' colleague matrix (Boyd,
-  2002), after trailing coefficients that are exactly 0 are trimmed, as
-  numpy's ``chebroots`` trims them.  The maximum is the largest MSE over the
-  two endpoints and the real parts of the roots, clipped to the range.
+  numpy's ``chebroots`` takes that series' roots.  The maximum is the largest
+  MSE over the two endpoints and the real parts of the roots, clipped to the
+  range.
 - Plans.  What does not depend on ``sigma2`` is built once: a
   :class:`_NodePlan` per (order, cap), sixteen kept, holds the node rows, the
-  node-to-derivative map, the colleague template and the Bernstein maps; a
-  :class:`_MaxPlan` per (design, prior, cap), four kept by :func:`_max_plan`,
-  holds the factor, the MSE's node values and the Bernstein bounds.  The LS
-  MSE is ``sigma2`` times a polynomial free of it, so an LS maximum is
-  ``sigma2`` times the plan's maximum at ``sigma2 = 1``.
+  node-to-derivative map and the Bernstein maps; a :class:`_MaxPlan` per
+  (design, prior, cap), four kept by :func:`_max_plan`, holds the factor, the
+  MSE's node values and the Bernstein bounds.  The LS MSE is ``sigma2`` times
+  a polynomial free of it, so an LS maximum is ``sigma2`` times the plan's
+  maximum at ``sigma2 = 1``.
 
 Every other entry point factors its design afresh.
 """
@@ -407,10 +406,7 @@ def mse_curve(
 def _binomials(n: int) -> np.ndarray:
     """``C(n, 0), ..., C(n, n)``, exact integers each rounded once to float;
     :class:`OverflowError` once they exceed the float range, from ``n = 1030``."""
-    row = [1]
-    for i in range(n):
-        row.append(row[-1] * (n - i) // (i + 1))
-    return np.array([float(c) for c in row])
+    return np.array([float(math.comb(n, i)) for i in range(n + 1)])
 
 
 def _smallest_magnitude(values: np.ndarray) -> float:
@@ -431,12 +427,6 @@ class _NodePlan:
       interpolant has the cosine sums ``c_k = (2/n) sum_j cos(k theta_j) v_j``
       and its derivative ``d_i = sum_{j > i, j - i odd} 2 j c_j``, with ``c_0``
       and ``d_0`` halved (Mason & Handscomb, *Chebyshev Polynomials*, 2003, §2.4), in one matrix.
-    - ``colleague`` and ``scale``: the colleague matrix of a degree-``2L - 1``
-      series before its coefficients enter, and the scale of their column, as
-      numpy's ``chebcompanion`` builds them, rotated by 180 degrees as numpy's
-      ``chebroots`` rotates it, so the coefficients enter its first column,
-      last first.  The colleague matrix of a lower degree ``d`` is its trailing
-      ``d x d`` block, with the first ``d`` entries of ``scale``.
     - ``power_map``: the ``(L + 1, L)`` map ``C(L - l, j - l) cap^l`` from the
       monomial coefficients ``b_l`` (``l = 1..L``) of a direction ``f(a) . b``
       to ``C(L, j)`` times its degree-``L`` Bernstein coefficients in
@@ -453,11 +443,11 @@ class _NodePlan:
 
     The binomials are exact integers rounded once to float, and every entry of
     both maps is nonnegative.  The arrays are read-only, since every caller
-    shares them.  A plan holds about ``29 L^2`` floats, 370 KB at ``L = 40``,
+    shares them.  A plan holds about ``25 L^2`` floats, 325 KB at ``L = 40``,
     most of it the raise map, and sixteen are kept.
     """
 
-    __slots__ = ("node_rows", "slope_map", "colleague", "scale", "power_map", "raise_map", "tolerance", "least_part")
+    __slots__ = ("node_rows", "slope_map", "power_map", "raise_map", "tolerance", "least_part")
 
     def __init__(self, order: int, max_amplitude: float) -> None:
         k = np.arange(2 * order + 1)
@@ -469,12 +459,6 @@ class _NodePlan:
         derivative[0] *= 0.5
         self.slope_map = derivative @ cosines
         self.node_rows = basis_rows(0.5 * max_amplitude * (np.cos(theta) + 1.0), order).astype(complex)
-        degree = 2 * order - 1
-        off_diagonal = np.full(degree - 1, 0.5)
-        off_diagonal[:1] = np.sqrt(0.5)
-        self.colleague = (np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))[::-1, ::-1].copy()
-        scl = np.array([1.0] + [np.sqrt(0.5)] * (degree - 1))
-        self.scale = scl / scl[-1]
         binomials = np.zeros((order + 1, order))
         for l in range(1, order + 1):
             binomials[l:, l - 1] = _binomials(order - l)
@@ -497,7 +481,7 @@ class _NodePlan:
                 # squared and times r of the raise map and the tolerance at the end.
                 floor = math.sqrt(_SMALLEST_NORMAL / (self.tolerance * _smallest_magnitude(self.raise_map)))
                 self.least_part = floor / _smallest_magnitude(self.power_map)
-        for array in (self.node_rows, self.slope_map, self.colleague, self.scale, self.power_map, self.raise_map):
+        for array in (self.node_rows, self.slope_map, self.power_map, self.raise_map):
             if array is not None:
                 array.flags.writeable = False
 
@@ -533,27 +517,6 @@ class _NodePlan:
             bounds = signed + margin
             bounds[-1] = signed[-1] - margin[-1]
         return bounds if np.isfinite(bounds).all() else None
-
-    def roots(self, coefficients: np.ndarray) -> np.ndarray:
-        """Roots of the Chebyshev series ``coefficients``, of degree at most
-        ``2L - 1``, equal bit for bit to those of numpy's Chebyshev root finder.
-
-        The trailing coefficients that are exactly 0 are trimmed, as numpy's
-        ``as_series`` trims them.  Degree 1 is ``-c_0 / c_1`` and degree 0 has
-        no roots.  Otherwise the last-column shift is subtracted from a copy of
-        the colleague block exactly as ``chebcompanion`` subtracts it, and one
-        ``eigvals`` call takes the roots.
-        """
-        degree = coefficients.size - 1
-        while degree and coefficients[degree] == 0:
-            degree -= 1
-        if degree < 2:
-            return -coefficients[:degree] / coefficients[degree]
-        matrix = self.colleague[-degree:, -degree:].copy()
-        matrix[:, 0] -= ((coefficients[:degree] / coefficients[degree]) * self.scale[:degree] * 0.5)[::-1]
-        roots = np.linalg.eigvals(matrix)
-        roots.sort()
-        return roots
 
 
 _node_plan = functools.lru_cache(maxsize=16)(_NodePlan)
@@ -621,8 +584,9 @@ class _MaxPlan:
         ``sigma2`` go to the derivative coefficients in one product with the
         node plan's map, which must not overflow.  A column that :meth:`at_cap`
         certifies takes the larger MSE of the two endpoints.  Every other one
-        takes the root step: its roots come from :meth:`_NodePlan.roots`, and the
-        endpoints and clipped roots are scored with the weights already taken.
+        takes the root step: numpy's ``chebroots`` takes the roots of its
+        derivative series, and the endpoints and clipped roots are scored with
+        the weights already taken.
         """
         factor, order, half = self.factor, self.factor.basis.shape[0], 0.5 * self.max_amplitude
         with np.errstate(all="ignore"):
@@ -641,7 +605,7 @@ class _MaxPlan:
                 if certified:
                     candidates, energies = self.end_points, self.end_values
                 else:
-                    roots = plan.roots(slopes[:, j]).real
+                    roots = np.polynomial.chebyshev.chebroots(slopes[:, j]).real
                     points = np.empty(roots.size + 2)
                     points[:2] = -1.0, 1.0
                     np.minimum(np.maximum(roots, -1.0), 1.0, out=points[2:])
@@ -678,13 +642,12 @@ def max_prediction_mse(
     array of them, which returns an array of the same length; one number is
     the one-entry sweep.
 
-    The maximum is exact: a noise variance whose maximum a Bernstein
-    certificate puts at the cap takes the MSE there, and every other one the
-    largest MSE over both endpoints and the roots of the derivative (the
-    module docstring has both steps).  Trailing derivative coefficients that
-    are exactly 0 are trimmed, as numpy's root finder trims them.  Smaller ones
-    are kept: in the monomial basis round-off and a real leading coefficient
-    reach the same size near ``L = 15``.
+    The maximum is exact up to round-off, about ``cond(Phi) eps`` relative: a
+    noise variance whose maximum a Bernstein certificate puts at the cap takes
+    the MSE there, and every other one the largest MSE over both endpoints and
+    the roots of the derivative (the module docstring has both steps).  The
+    derivative series is not chopped: in the monomial basis round-off and a
+    real leading coefficient reach the same size near ``L = 15``.
 
     A noise variance inside a longer sweep can differ from the same variance
     alone by round-off of the root step, whose derivative coefficients come

@@ -223,15 +223,10 @@ def prior_from_moments(mean: np.ndarray, second_moment: np.ndarray, mode: str) -
     return PriorStatistics(mean, covariance)
 
 
-def prior_from_fits(coefficients: np.ndarray, mode: str) -> PriorStatistics:
-    """Prior statistics of the rows of ``coefficients`` in the given mode (see :func:`prior_from_moments`)."""
-    return prior_from_moments(*fit_moments(coefficients), mode)
-
-
 def build_prior(config: PriorConfig, dist: RappDistribution) -> PriorStatistics:
     """Prior statistics from ``config.realizations`` fitted Rapp draws, in
-    ``config.mode`` (see :func:`prior_from_fits`)."""
-    return prior_from_fits(fit_realizations(config, dist), config.mode)
+    ``config.mode`` (see :func:`prior_from_moments`)."""
+    return prior_from_moments(*fit_moments(fit_realizations(config, dist)), config.mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,8 +312,10 @@ def read_csv_table(path, header: tuple, label: str) -> np.ndarray:
 def load_prior(mean_path, cov_path) -> PriorStatistics:
     """Read a prior written by :func:`save_prior`."""
     mean_rows = read_csv_table(mean_path, _MEAN_HEADER, "prior mean")
-    mean = mean_rows[:, 1] + 1j * mean_rows[:, 2]
+    # Viewing (re, im) pairs as complex keeps every part's bits, a -0.0 too,
+    # which re + 1j * im turns into 0.0.
+    mean = mean_rows[:, 1:].copy().view(complex)[:, 0]
     cov_rows = read_csv_table(cov_path, _covariance_header(mean.size), "prior covariance")
     if len(cov_rows) != mean.size:
         raise CsvFormatError("prior covariance row count must match the mean length")
-    return PriorStatistics(mean, cov_rows[:, 0::2] + 1j * cov_rows[:, 1::2])
+    return PriorStatistics(mean, cov_rows.view(complex))

@@ -42,8 +42,9 @@ from patrain.prior import (
     RappDistribution,
     build_prior,
     default_fit_grid,
+    fit_moments,
     fit_polynomial_to_curve,
-    prior_from_fits,
+    prior_from_moments,
     rapp_response_blocks,
 )
 
@@ -602,47 +603,12 @@ def _mse_slopes(factor, cap, sigma2s):
     return plan.slope_map @ (factor.energies(plan.node_rows) @ factor.weights(sigma2s))
 
 
-def _random_prior_on_uniform_pilots(order):
-    """The factor of uniform 2L pilots with a random full-rank prior, seeded by the order."""
-    rng = np.random.default_rng(order)
-    prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
-    return _factor(build_design_matrix(uniform_pilots(2 * order), order), prior), rng
-
-
 # From about L = 29 the leading MSE coefficients of these cases are round-off,
 # and one comes out exactly 0 at L = 29 (sigma2 1e-3) and L = 31 (sigma2 0.1).
 EXACT_ZERO_LEADING_ORDERS = (29, 31)
 
 
-@pytest.mark.parametrize("order", range(2, 41))
-def test_derivative_roots_equal_chebroots(order):
-    chebroots = np.polynomial.chebyshev.chebroots
-    factor, rng = _random_prior_on_uniform_pilots(order)
-    plan = _node_plan(order, 1.0)
-    mse_slopes = _mse_slopes(factor, 1.0, EQUIVALENCE_SIGMA2S)
-    if order in EXACT_ZERO_LEADING_ORDERS:
-        assert (mse_slopes[-1] == 0).any()
-    random_slopes = rng.normal(size=(2 * order, 3))
-    # Every lower degree too: the colleague matrix of degree d is the
-    # template's trailing d x d block, entered by a series padded with zeros.
-    padded = np.tril(rng.normal(size=(2 * order, 2 * order))).T
-    for slopes in (random_slopes, mse_slopes, padded):
-        for column in slopes.T:
-            assert np.array_equal(plan.roots(column), chebroots(column))
-    # The template is built once per plan and shared by every caller.
-    assert _node_plan(order, 1.0).colleague is plan.colleague
-    assert not plan.colleague.flags.writeable and not plan.scale.flags.writeable
-
-
-def test_root_step_trims_exact_zeros_and_solves_degree_one_as_chebroots():
-    chebroots = np.polynomial.chebyshev.chebroots
-    rng = np.random.default_rng(0)
-    trimmed = rng.normal(size=6)
-    trimmed[-1] = 0.0
-    for coefficients in (trimmed, rng.normal(size=2), np.zeros(6), np.array([1.0, 0.0])):
-        got = _node_plan(3 if coefficients.size == 6 else 1, 1.0).roots(coefficients)
-        assert np.array_equal(got, chebroots(coefficients))
-    assert _node_plan(3, 1.0).roots(trimmed).size == 4
+def test_order_one_maximum_sits_at_the_cap():
     # Order 1: the MSE sigma2 a^2 / sum |s_n|^2 has a degree-1 derivative, so
     # its maximum sits at the cap, found by the degree-1 step.
     phi = build_design_matrix(uniform_pilots(2), 1)
@@ -654,7 +620,10 @@ def test_root_step_trims_exact_zeros_and_solves_degree_one_as_chebroots():
 
 @pytest.mark.parametrize("order", EXACT_ZERO_LEADING_ORDERS)
 def test_max_mse_with_an_exactly_zero_leading_coefficient(order):
-    factor, _ = _random_prior_on_uniform_pilots(order)
+    # Uniform 2L pilots with a random full-rank prior, seeded by the order.
+    rng = np.random.default_rng(order)
+    prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
+    factor = _factor(build_design_matrix(uniform_pilots(2 * order), order), prior)
     sigma2s = np.array(EQUIVALENCE_SIGMA2S)
     assert (_mse_slopes(factor, 1.0, sigma2s)[-1] == 0).any()
     maxima, amplitudes = _MaxPlan(factor, 1.0).max_mse(sigma2s)
@@ -664,6 +633,31 @@ def test_max_mse_with_an_exactly_zero_leading_coefficient(order):
     on_grid = factor.mse(np.linspace(0.0, 1.0, 200_001), sigma2s).max(axis=0)
     assert (maxima >= on_grid * (1 - 1e-15)).all()
     assert_allclose(np.diag(factor.mse(amplitudes, sigma2s)), maxima, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("order", range(2, 41))
+def test_root_step_finds_an_interior_maximum_at_every_order(order):
+    # Uniform 2L pilots on [0, 1] with a random full-rank prior, seeded by the
+    # order, and the maximum taken over [0, 0.5]: at every order at least one
+    # noise variance has its maximum inside the range, at a root of the
+    # derivative, so the root step runs at every degree up to 79.
+    rng = np.random.default_rng(order)
+    prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
+    phi = build_design_matrix(uniform_pilots(2 * order), order)
+    cap, sigma2s = 0.5, np.array(EQUIVALENCE_SIGMA2S)
+    factor = _factor(phi, prior)
+    maxima, amplitudes = _MaxPlan(factor, cap).max_mse(sigma2s)
+    assert np.array_equal(max_prediction_mse(phi, sigma2s, prior, cap), maxima)
+    assert ((amplitudes > 0.0) & (amplitudes < cap)).any()
+    # Measured at L = 2..40: the 100,001-point grid maximum exceeds the
+    # returned maximum by at most 4.4e-16 relative, the MSE at the returned
+    # amplitude differs from it by at most 4.4e-16 relative, and the grid's
+    # best point lies within one spacing of the returned amplitude.
+    grid = np.linspace(0.0, cap, 100_001)
+    on_grid = factor.mse(grid, sigma2s)
+    assert (maxima >= on_grid.max(axis=0) * (1 - 1e-15)).all()
+    assert_allclose(np.diag(factor.mse(amplitudes, sigma2s)), maxima, rtol=1e-15, atol=0)
+    assert (np.abs(grid[on_grid.argmax(axis=0)] - amplitudes) <= grid[1]).all()
 
 
 def _interpolate_differentiate_max(phi, sigma2, prior, cap):
@@ -865,14 +859,13 @@ def test_node_plan_is_built_once_per_order_and_cap(order):
     assert after.maxsize is not None
     plan = _node_plan(order, cap)
     assert _node_plan(order, cap) is plan
-    arrays = (plan.node_rows, plan.slope_map, plan.colleague, plan.scale)
+    arrays = (plan.node_rows, plan.slope_map)
     assert not any(array.flags.writeable for array in arrays)
     assert np.array_equal(plan.node_rows, basis_rows(0.5 * cap * (_chebyshev_nodes(2 * order) + 1.0), order))
-    assert plan.colleague.shape == (2 * order - 1, 2 * order - 1) and plan.scale.shape == (2 * order - 1,)
-    # The rows depend on the cap, the map and the colleague template do not.
+    # The rows depend on the cap, the map does not.
     other = _node_plan(order, 2.5)
     assert not np.array_equal(other.node_rows, plan.node_rows)
-    assert np.array_equal(other.slope_map, plan.slope_map) and np.array_equal(other.colleague, plan.colleague)
+    assert np.array_equal(other.slope_map, plan.slope_map)
 
 
 MEMO_KINDS = ("none", "full", "rank-deficient")
@@ -1242,7 +1235,7 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         lambda: PriorConfig(mode="partial"),
         lambda: list(rapp_response_blocks(RappDistribution(), np.random.default_rng(0), 1, [-1.0])),
         lambda: list(rapp_response_blocks(RappDistribution(), np.random.default_rng(0), 0, [1.0])),
-        lambda: prior_from_fits(np.ones((3, 2), dtype=complex), "partial"),
+        lambda: prior_from_moments(*fit_moments(np.ones((3, 2), dtype=complex)), "partial"),
         lambda: build_prior(PriorConfig(seed=-1), RappDistribution()),
         # design
         lambda: legendre_derivative_roots(0),

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from patrain import experiments
@@ -175,6 +180,38 @@ def test_prior_csv_with_crlf_line_ends_loads_the_same(tmp_path):
     restored = load_prior(tmp_path / "crlf_mean.csv", tmp_path / "crlf_cov.csv")
     assert np.array_equal(restored.mean, prior.mean)
     assert np.array_equal(restored.covariance, prior.covariance)
+
+
+_EDGE_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    order=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    mean_parts=st.lists(st.one_of(st.floats(-1e3, 1e3), _EDGE_PARTS), min_size=24, max_size=24),
+    edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), _EDGE_PARTS, _EDGE_PARTS), max_size=8),
+)
+def test_prior_csv_round_trip_is_bit_exact(order, seed, mean_parts, edges):
+    # A random Hermitian PSD covariance, diagonally dominant so that tiny or
+    # signed-zero off-diagonal pairs keep it PSD, and a mean that holds them too.
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(order, order)) + 1j * rng.normal(size=(order, order))
+    cov = 10.0 ** rng.uniform(-3, 3) * (root @ root.conj().T)
+    cov = 0.5 * (cov + cov.conj().T) + np.abs(cov).sum() * np.eye(order)
+    for i, j, re, im in edges:
+        i, j = i % order, j % order
+        if i == j:
+            cov[i, i] = complex(cov[i, i].real, np.copysign(0.0, im))
+        else:
+            cov[i, j], cov[j, i] = complex(re, im), complex(re, -im)
+    prior = PriorStatistics(np.array(mean_parts[: 2 * order]).view(complex), cov)
+    with tempfile.TemporaryDirectory() as folder:
+        mean_path, cov_path = Path(folder) / "mean.csv", Path(folder) / "cov.csv"
+        save_prior(prior, mean_path, cov_path)
+        restored = load_prior(mean_path, cov_path)
+    assert restored.mean.tobytes() == prior.mean.tobytes()
+    assert restored.covariance.tobytes() == prior.covariance.tobytes()
 
 
 @pytest.mark.parametrize("target", ["mean", "cov"])
@@ -361,6 +398,6 @@ def test_fig4_columns_equal_the_per_mode_path(realizations):
             assert np.array_equal(table.column(f"d_{allocation}_{suffix}"), expected)
 
 
-def test_prior_from_fits_rejects_unknown_mode():
+def test_prior_from_moments_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        prior_module.prior_from_fits(np.ones((3, 2), dtype=complex), "partial")
+        prior_module.prior_from_moments(*prior_module.fit_moments(np.ones((3, 2), dtype=complex)), "partial")
