@@ -138,10 +138,6 @@ def _check(condition: bool, message: str) -> None:
         raise InvalidInputError(message)
 
 
-def _check_order(order: int) -> None:
-    _check(1 <= order <= MAX_ORDER, f"order must be between 1 and {MAX_ORDER}, got {order}")
-
-
 def _check_realizations(realizations: int, bytes_each: int) -> None:
     size = realizations * bytes_each
     message = f"{realizations} realizations would take {size} bytes; at most {MAX_REALIZATION_BYTES} are allowed"
@@ -206,7 +202,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_order(args.order)
+        _check(1 <= args.order <= MAX_ORDER, f"order must be between 1 and {MAX_ORDER}, got {args.order}")
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except (PatrainError, OSError, FloatingPointError) as exc:

@@ -35,6 +35,7 @@ from .prior import (
     fit_realizations,
     prior_from_moments,
     rapp_response_blocks,
+    read_complex_vector,
     read_csv_table,
 )
 
@@ -79,13 +80,9 @@ def run_fig1(order: int = 5, n_pilots: int = 5, sigma2: float = 1.0) -> CsvTable
     amplitudes = np.linspace(0.0, 1.0, CURVE_SAMPLES)
     curve_uniform = mse_curve(build_design_matrix(uniform, order), amplitudes, sigma2)
     curve_optimal = mse_curve(build_design_matrix(optimal, order), amplitudes, sigma2)
-    pilot_uniform = np.full(CURVE_SAMPLES, np.nan)
-    pilot_optimal = np.full(CURVE_SAMPLES, np.nan)
-    pilot_uniform[:n_pilots] = uniform.amplitudes()
-    pilot_optimal[:n_pilots] = optimal.amplitudes()
-    rows = np.column_stack(
-        [amplitudes, curve_uniform.mse_values, curve_optimal.mse_values, pilot_uniform, pilot_optimal]
-    )
+    pilot_columns = np.full((CURVE_SAMPLES, 2), np.nan)
+    pilot_columns[:n_pilots] = np.column_stack([uniform.amplitudes(), optimal.amplitudes()])
+    rows = np.column_stack([amplitudes, curve_uniform.mse_values, curve_optimal.mse_values, pilot_columns])
     return CsvTable(("amplitude", "mse_uniform", "mse_optimal", "pilot_uniform", "pilot_optimal"), rows)
 
 
@@ -188,9 +185,8 @@ def estimation_table(result: EstimationResult) -> CsvTable:
     matching covariance row appended as interleaved re/im columns."""
     order = result.estimate.size
     header = ("index", "beta_re", "beta_im", *(f"cov_{name}" for name in _covariance_header(order)))
-    rows = np.column_stack(
-        [np.arange(order), _complex_columns(result.estimate[:, None]), _complex_columns(result.error_covariance)]
-    )
+    estimate_and_covariance = np.column_stack([result.estimate, result.error_covariance])
+    rows = np.column_stack([np.arange(order), _complex_columns(estimate_and_covariance)])
     # Round-trip digits: 9 would perturb a nearly singular posterior covariance
     # enough to make the printed matrix indefinite.
     return CsvTable(header, rows, digits=17)
@@ -223,6 +219,5 @@ def read_pilot_csv(path) -> PilotSequence:
 
 
 def read_observation_csv(path) -> np.ndarray:
-    """Complex observation vector from an (index, re, im) CSV."""
-    body = read_csv_table(path, ("index", "re", "im"), "observation csv")
-    return body[:, 1] + 1j * body[:, 2]
+    """Complex observation vector from an (index, re, im) CSV, bit for bit."""
+    return read_complex_vector(path, "observation csv")

@@ -263,7 +263,12 @@ def _complex_columns(matrix: np.ndarray) -> np.ndarray:
     return np.stack([matrix.real, matrix.imag], axis=-1).reshape(len(matrix), -1)
 
 
-_MEAN_HEADER = ("index", "re", "im")
+def _columns_as_complex(columns: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_complex_columns` that keeps every bit, a -0.0 too, unlike ``re + 1j * im``."""
+    return np.ascontiguousarray(columns).view(complex)
+
+
+_VECTOR_HEADER = ("index", "re", "im")
 
 
 def _covariance_header(order: int) -> tuple:
@@ -275,7 +280,7 @@ def save_prior(prior: PriorStatistics, mean_path, cov_path) -> None:
     """Write the prior as two 17-digit :class:`CsvTable` files, which :func:`load_prior` reads
     back exactly: the mean (index, re, im) and the row-major covariance (re/im interleaved)."""
     mean = np.column_stack([np.arange(prior.order), _complex_columns(prior.mean[:, None])])
-    CsvTable(_MEAN_HEADER, mean, digits=17).write(mean_path)
+    CsvTable(_VECTOR_HEADER, mean, digits=17).write(mean_path)
     CsvTable(_covariance_header(prior.order), _complex_columns(prior.covariance), digits=17).write(cov_path)
 
 
@@ -309,13 +314,15 @@ def read_csv_table(path, header: tuple, label: str) -> np.ndarray:
     return body
 
 
+def read_complex_vector(path, label: str) -> np.ndarray:
+    """Complex vector of an ``index,re,im`` CSV checked by :func:`read_csv_table`, bit for bit."""
+    return _columns_as_complex(read_csv_table(path, _VECTOR_HEADER, label)[:, 1:])[:, 0]
+
+
 def load_prior(mean_path, cov_path) -> PriorStatistics:
-    """Read a prior written by :func:`save_prior`."""
-    mean_rows = read_csv_table(mean_path, _MEAN_HEADER, "prior mean")
-    # Viewing (re, im) pairs as complex keeps every part's bits, a -0.0 too,
-    # which re + 1j * im turns into 0.0.
-    mean = mean_rows[:, 1:].copy().view(complex)[:, 0]
+    """Read a prior written by :func:`save_prior`, bit for bit."""
+    mean = read_complex_vector(mean_path, "prior mean")
     cov_rows = read_csv_table(cov_path, _covariance_header(mean.size), "prior covariance")
     if len(cov_rows) != mean.size:
         raise CsvFormatError("prior covariance row count must match the mean length")
-    return PriorStatistics(mean, cov_rows.view(complex))
+    return PriorStatistics(mean, _columns_as_complex(cov_rows))

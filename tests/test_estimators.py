@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -130,6 +130,36 @@ def test_ls_matches_naive_normal_equations():
         naive = np.linalg.inv(gram) @ (phi.conj().T @ r)
         stable = ls_estimate(phi, r, 1.0).estimate
         assert np.linalg.norm(stable - naive) / np.linalg.norm(naive) < 1e-8
+
+
+@st.composite
+def _phased_designs(draw, max_order=6, max_cond=1e4):
+    """``(pilots, design, cond)``: N in [L, 2L] pilots of random phase on a 1e-3 amplitude
+    lattice in [0.05, 1], whose order-L design has a condition number at most ``max_cond``."""
+    order = draw(st.integers(1, max_order))
+    steps = draw(st.lists(st.integers(0, 950), min_size=order, max_size=2 * order, unique=True))
+    phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=len(steps), max_size=len(steps)))
+    pilots = PilotSequence((0.05 + 1e-3 * np.array(steps)) * np.exp(1j * np.array(phases)))
+    design = build_design_matrix(pilots, order)
+    cond = np.linalg.cond(design)
+    assume(cond <= max_cond)
+    return pilots, design, cond
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(problem=_phased_designs(), seed=st.integers(0, 2**32 - 1))
+def test_ls_equals_the_normal_equations_within_the_squared_condition_number(problem, seed):
+    _, phi, cond = problem
+    rng = np.random.default_rng(seed)
+    order, n_pilots = phi.shape[1], phi.shape[0]
+    coef = rng.normal(size=order) + 1j * rng.normal(size=order)
+    r = phi @ coef + 0.1 * (rng.normal(size=n_pilots) + 1j * rng.normal(size=n_pilots))
+    naive = np.linalg.solve(phi.conj().T @ phi, phi.conj().T @ r)
+    stable = ls_estimate(phi, r, 1.0).estimate
+    # Both paths round a few times even at cond = 1 (order 1), where they
+    # differ by up to 4.5 eps; from cond = 10 up the gap stays below cond^2 eps.
+    bound = 10 * cond**2 * np.finfo(float).eps
+    assert np.linalg.norm(stable - naive) <= bound * np.linalg.norm(naive)
 
 
 def test_ls_unbiasedness_monte_carlo():
@@ -574,6 +604,30 @@ def test_max_prediction_mse_bounds_every_sampled_value(problem):
     on_grid = mse_curve(phi, np.linspace(0.0, 1.0, 2001), sigma2, prior).mse_values
     assert value >= at_pilots.max() * (1 - 1e-12)
     assert value >= on_grid.max() * (1 - 1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    problem=_phased_designs(max_order=5, max_cond=1e3),
+    data=st.data(),
+    log_sigma2=st.floats(-6.0, 0.0),
+    prior_seed=st.none() | st.integers(0, 2**32 - 1),
+)
+def test_pilot_phases_leave_the_prediction_mse_unchanged(problem, data, log_sigma2, prior_seed):
+    # Each pilot's phase scales its design row by a unit factor, which leaves
+    # Phi^H Phi as it is.  The MSE round-off is about cond(Phi) eps, hence cond <= 1e3.
+    pilots, phi, _ = problem
+    order, sigma2 = phi.shape[1], 10.0**log_sigma2
+    turns = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=len(pilots), max_size=len(pilots)))
+    turned = build_design_matrix(PilotSequence(pilots.symbols * np.exp(1j * np.array(turns))), order)
+    prior = None
+    if prior_seed is not None:
+        rng = np.random.default_rng(prior_seed)
+        prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
+    grid = np.linspace(0.0, 1.0, 51)
+    curve = mse_curve(phi, grid, sigma2, prior).mse_values
+    assert_allclose(mse_curve(turned, grid, sigma2, prior).mse_values, curve, rtol=0, atol=1e-12 * curve.max())
+    assert_allclose(max_prediction_mse(turned, sigma2, prior), max_prediction_mse(phi, sigma2, prior), rtol=1e-12)
 
 
 def _chebyshev_nodes(degree):
@@ -1070,6 +1124,23 @@ def test_psd_ordering_ls_versus_lmmse():
         c_ls = ls_estimate(phi, np.zeros(len(pilots), dtype=complex), sigma2).error_covariance
         c_lmmse = lmmse_estimate(phi, np.zeros(len(pilots), dtype=complex), sigma2, prior).error_covariance
         assert np.linalg.eigvalsh(c_ls - c_lmmse).min() >= -1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    problem=_phased_designs(),
+    log_sigma2=st.floats(-6.0, 1.0),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lmmse_error_covariance_is_below_the_ls_one(problem, log_sigma2, log_scale, seed):
+    _, phi, _ = problem
+    rng = np.random.default_rng(seed)
+    order, zeros = phi.shape[1], np.zeros(phi.shape[0], dtype=complex)
+    prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order, 10.0**log_scale))
+    c_ls = ls_estimate(phi, zeros, 10.0**log_sigma2).error_covariance
+    c_lmmse = lmmse_estimate(phi, zeros, 10.0**log_sigma2, prior).error_covariance
+    assert np.linalg.eigvalsh(c_ls - c_lmmse).min() >= -1e-10 * np.linalg.eigvalsh(c_ls).max()
 
 
 # ----------------------------------------------------------- noise generation

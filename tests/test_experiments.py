@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from patrain import (
@@ -29,6 +34,7 @@ from patrain.experiments import (
     snr_db_to_sigma2,
 )
 from patrain.prior import COHERENT, NONCOHERENT, PriorConfig, RappDistribution, build_prior, default_fit_grid
+from test_prior import _EDGE_PARTS
 
 REFERENCE_FIG2_RATIOS = (1.0, 1.0, 1.17576, 1.62957, 2.54202, 4.48742, 9.10700, 20.7436)
 
@@ -200,6 +206,28 @@ def test_observation_csv_reader(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("index,re,im\n0,1.5,-0.5\n1,0,2\n")
     assert np.array_equal(read_observation_csv(path), np.array([1.5 - 0.5j, 2j]))
+
+
+def test_observation_csv_keeps_signed_zeros(tmp_path):
+    path = tmp_path / "obs.csv"
+    path.write_text("index,re,im\n0,1,-0\n1,-0,2\n")
+    observations = read_observation_csv(path)
+    assert np.array_equal(observations, np.array([1, 2j]))
+    assert list(zip(np.signbit(observations.real), np.signbit(observations.imag))) == [(False, True), (True, False)]
+
+
+_PARTS = st.one_of(st.floats(-1e300, 1e300), _EDGE_PARTS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(parts=st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=12))
+def test_observation_csv_round_trip_is_bit_exact(parts):
+    lines = [f"{i},{format(re, '.17g')},{format(im, '.17g')}\n" for i, (re, im) in enumerate(parts)]
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "obs.csv"
+        path.write_text("index,re,im\n" + "".join(lines))
+        observations = read_observation_csv(path)
+    assert observations.tobytes() == np.array([complex(re, im) for re, im in parts]).tobytes()
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
