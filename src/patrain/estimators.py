@@ -8,33 +8,35 @@ factored system has the singular values ``sqrt(s^2 + rho sigma2)`` (``rho`` 0
 for LS, 1 for LMMSE), so estimates, covariances, prediction MSE and the
 D-criterion all follow in closed form, and one factor serves a whole SNR sweep.
 
-The exact maximum prediction MSE over ``[0, cap]`` works on the factor too.
-With the monomial rows ``f(a) = (a, ..., a^L)`` and the weights
-``w = sigma2 / sv^2``, the MSE ``sum_i |f(a) . (T V)_i|^2 w_i`` is a real
-polynomial of degree ``2L`` in the amplitude ``a``.
+The MSE functions work on scale-free rows: with ``c`` the largest pilot
+amplitude (1 if all are 0), :func:`_monomial_design` builds the monomial rows
+``f(s / c)``, ``f(a) = (a, ..., a^L)``, the prior root is scaled by ``c^l``, and
+the MSE at ``a`` is read at ``t = a / c``, so no power of ``c`` costs digits.
+With the weights ``w = sigma2 / sv^2``, the MSE ``sum_i |f(t) . (T V)_i|^2 w_i``
+is a real polynomial of degree ``2L`` in ``t``, and its exact maximum over
+``[0, cap]`` is taken on ``[0, r]``, ``r = cap / c``.
 
-- Certificate.  On ``t = a / cap`` in ``[0, 1]``, the degree-``8L`` Bernstein
-  coefficients of that polynomial bound it from above, and the last one is
-  its value at the cap (Farouki & Rajan, CAGD 4, 1987).  They are ``Q @ w``
-  for a map ``Q`` from ``T V`` built once per plan
-  (:meth:`_NodePlan.bernstein`), so one product per ``sigma2`` shows whether
-  every other coefficient lies below the last one; then the maximum is the
-  MSE at the cap.  Every map in ``Q`` is nonnegative, so the same products
-  over absolute values bound its round-off, and the test holds in floating
-  point.  Most LMMSE maxima at the fig4 noise variances pass it.
+- Certificate.  On ``u = t / r`` in ``[0, 1]``, the degree-``8L`` Bernstein
+  coefficients of that polynomial bound it from above, and the last one is its
+  value at the cap (Farouki & Rajan, CAGD 4, 1987).  They are ``Q @ w`` for a
+  map ``Q`` from the directions ``T V`` times ``r^l`` (:meth:`_NodePlan.bernstein`),
+  so one product per ``sigma2`` shows whether every other coefficient lies below
+  the last one; then the maximum is the MSE at the cap.  Every map in ``Q`` is
+  nonnegative, so the same products over absolute values bound its round-off,
+  and the test holds in floating point.  Most LMMSE maxima at the fig4 noise
+  variances pass it.
 - Root step.  Every other ``sigma2`` takes the derivative's roots.  The MSE's
-  values at the ``2L + 1`` first-kind Chebyshev nodes fix it; one matrix
-  product takes them to the Chebyshev coefficients of its derivative, and
-  numpy's ``chebroots`` takes that series' roots.  The maximum is the largest
-  MSE over the two endpoints and the real parts of the roots, clipped to the
-  range.
-- Plans.  What does not depend on ``sigma2`` is built once: a
-  :class:`_NodePlan` per (order, cap), sixteen kept, holds the node rows, the
-  node-to-derivative map and the Bernstein maps; a :class:`_MaxPlan` per
-  (design, prior, cap), four kept by :func:`_max_plan`, holds the factor, the
-  MSE's node values and the Bernstein bounds.  The LS MSE is ``sigma2`` times
-  a polynomial free of it, so an LS maximum is ``sigma2`` times the plan's
-  maximum at ``sigma2 = 1``.
+  values at the ``2L + 1`` first-kind Chebyshev nodes fix it; one matrix product
+  takes them to the Chebyshev coefficients of its derivative, and numpy's
+  ``chebroots`` takes that series' roots.  The maximum is the largest MSE over
+  the two endpoints and the real parts of the roots, clipped to the range.
+- Plans.  What does not depend on ``sigma2`` is built once: a :class:`_NodePlan`
+  per order, sixteen kept, holds the unit node rows, the node-to-derivative map
+  and the Bernstein maps; a :class:`_MaxPlan` per (design, prior, cap), four kept
+  by :func:`_max_plan`, applies ``r`` to them and holds the factor, the MSE's
+  node values and the Bernstein bounds.  The LS MSE is ``sigma2`` times a
+  polynomial free of it, so an LS maximum is ``sigma2`` times the plan's maximum
+  at ``sigma2 = 1``.
 
 Every other entry point factors its design afresh.
 """
@@ -55,7 +57,7 @@ from .errors import (
     NonFiniteInputError,
     RankDeficiencyError,
 )
-from .pa_model import CONDITION_LIMIT, PaPolynomial, PilotSequence, basis_rows, eval_polynomial
+from .pa_model import CONDITION_LIMIT, PaPolynomial, PilotSequence, _require_integer, basis_rows, eval_polynomial
 
 # Prior directions whose eigenvalue is at or below this fraction of the mean
 # prior eigenvalue are treated as known exactly and dropped from the whitening.
@@ -98,7 +100,7 @@ def _require_finite_result(values: np.ndarray, label: str) -> np.ndarray:
 
 
 def _require_seed(seed: int) -> None:
-    if seed < 0:
+    if _require_integer(seed, "seed") < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
 
 
@@ -290,39 +292,46 @@ def _checked_design(design: np.ndarray, prior: PriorStatistics | None) -> np.nda
     return design
 
 
-def _factor(design: np.ndarray, prior: PriorStatistics | None = None) -> _Factor:
+def _factor(design: np.ndarray, prior: PriorStatistics | None = None, scale: float = 1.0) -> _Factor:
     """Factor the LS problem (no prior) or the whitened LMMSE problem with one SVD.
 
-    LS takes the SVD of ``Phi``.  LMMSE takes that of ``Phi T``, where ``T`` is
-    the prior root kept by :class:`PriorStatistics`.  With more columns than pilots
+    LS takes the SVD of ``Phi``.  LMMSE takes that of ``Phi T``, where ``T`` is the prior
+    root kept by :class:`PriorStatistics`, its rows times ``scale^l`` for the rows of the
+    pilots over ``scale`` (:func:`_monomial_design`).  With more columns than pilots
     the full ``V`` is taken and ``s`` padded with zeros, so an LS system with too few
     pilots fails the one rank test, :meth:`_Factor.singular_values`, with cond ``inf``.
     ``design`` is checked (:func:`_checked_design`), or a stack of checked designs
     along a leading axis, whose factors each equal their design's own bit for bit.
     """
-    whitened = design if prior is None else design @ prior._whiten
+    root = None if prior is None else prior._whiten
+    if root is not None and scale != 1:
+        root = basis_rows(scale, root.shape[0])[:, None] * root
+    whitened = design if root is None else design @ root
     k = whitened.shape[-1]
     u, s, vh = np.linalg.svd(whitened, full_matrices=design.shape[-2] < k)
     basis = vh.conj().swapaxes(-1, -2)
     if s.shape[-1] < k:
         s = np.concatenate([s, np.zeros((*s.shape[:-1], k - s.shape[-1]))], axis=-1)
-    return _Factor(u, s, basis if prior is None else prior._whiten @ basis, prior is not None)
+    return _Factor(u, s, basis if root is None else root @ basis, root is not None)
 
 
-def _monomial_design(design: np.ndarray, prior: PriorStatistics | None) -> np.ndarray:
-    """``design`` as :func:`_checked_design` returns it, if it has a column and its
-    columns are ``s |s|^(l-1)`` of the first, within 1e-12 of its largest entry:
-    the MSE functions build monomial prediction rows with :func:`basis_rows`."""
+def _monomial_design(design: np.ndarray, prior: PriorStatistics | None) -> tuple[np.ndarray, float]:
+    """The scale-free rows ``basis_rows(s / c)`` of the pilots ``s``, the first column of
+    ``design``, and their largest amplitude ``c`` (1 if all are 0), if ``design`` passes
+    :func:`_checked_design`, has a column and its columns are ``s |s|^(l-1)`` of the first
+    within 1e-12 of its largest entry."""
     design = _checked_design(design, prior)
     if design.shape[1] < 1:
         raise InvalidInputError("order must be >= 1")
-    rows = basis_rows(design[:, 0], design.shape[1])
+    pilots, order = design[:, 0], design.shape[1]
+    rows = basis_rows(pilots, order)
     # A design built by basis_rows matches these rows exactly, so the largest
     # entry is read only when they differ.
     excess = np.abs(design - rows).max(initial=0.0)
     if excess and excess > 1e-12 * np.abs(design).max(initial=0.0):
         raise InvalidInputError("columns are not s|s|^(l-1) of the first; other bases need prediction_covariance")
-    return design
+    scale = float(np.abs(pilots).max(initial=0.0)) or 1.0
+    return (rows if scale == 1 else basis_rows(pilots / scale, order)), scale
 
 
 def _check_observations(design: np.ndarray, observations: np.ndarray) -> np.ndarray:
@@ -400,7 +409,8 @@ def mse_curve(
         raise NonFiniteInputError("amplitudes hold NaN or infinite entries")
     if (amplitudes < 0).any():
         raise InvalidInputError("amplitudes must be nonnegative")
-    return MseCurve(amplitudes, _factor(_monomial_design(design, prior), prior).mse(amplitudes, [sigma2])[:, 0])
+    rows, scale = _monomial_design(design, prior)
+    return MseCurve(amplitudes, _factor(rows, prior, scale).mse(amplitudes / scale, [sigma2])[:, 0])
 
 
 def _binomials(n: int) -> np.ndarray:
@@ -416,40 +426,36 @@ def _smallest_magnitude(values: np.ndarray) -> float:
 
 
 class _NodePlan:
-    """What :meth:`_MaxPlan.max_mse` reuses per order ``L`` and amplitude cap.
+    """What :meth:`_MaxPlan.max_mse` reuses per order ``L``, on the unit range ``[0, 1]``.
 
-    - ``node_rows``: the rows :func:`basis_rows` builds at the ``n = 2L + 1``
-      first-kind Chebyshev nodes of ``[0, max_amplitude]``, cast to complex once.
-      On ``[-1, 1]`` the nodes are ``x_j = cos(theta_j)``,
-      ``theta_j = pi (j + 1/2) / n``.
+    - ``node_rows``: the rows :func:`basis_rows` builds, cast to complex once, at
+      the ``n = 2L + 1`` first-kind Chebyshev nodes ``(x_j + 1) / 2`` of ``[0, 1]``,
+      ``x_j = cos(theta_j)``, ``theta_j = pi (j + 1/2) / n``.
     - ``slope_map``: the ``(n - 1, n)`` matrix taking values ``v_j`` at the nodes
       to the Chebyshev coefficients of the derivative of their interpolant.  The
       interpolant has the cosine sums ``c_k = (2/n) sum_j cos(k theta_j) v_j``
       and its derivative ``d_i = sum_{j > i, j - i odd} 2 j c_j``, with ``c_0``
       and ``d_0`` halved (Mason & Handscomb, *Chebyshev Polynomials*, 2003, §2.4), in one matrix.
-    - ``power_map``: the ``(L + 1, L)`` map ``C(L - l, j - l) cap^l`` from the
-      monomial coefficients ``b_l`` (``l = 1..L``) of a direction ``f(a) . b``
-      to ``C(L, j)`` times its degree-``L`` Bernstein coefficients in
-      ``t = a / cap``.  Their self-convolution is then ``C(2L, m)`` times the
-      degree-``2L`` Bernstein coefficients of the direction's square.
+    - ``power_map``: the ``(L + 1, L)`` binomials ``C(L - l, j - l)`` taking the
+      monomial coefficients ``b_l`` (``l = 1..L``) of a direction ``f(u) . b`` to
+      ``C(L, j)`` times its degree-``L`` Bernstein coefficients on ``[0, 1]``, whose
+      self-convolution is ``C(2L, m)`` times those of degree ``2L`` of its square.
     - ``raise_map``: the ``(8L + 1, 2L + 1)`` map ``C(6L, n - m) / C(8L, n)``
       that takes such a self-convolution to the degree-``8L`` Bernstein
       coefficients; ``None`` from ``L = 129``, whose binomials exceed the float
       range, and then no maximum is certified.
     - ``tolerance`` and ``least_part``: the relative margin ``(8L + 16) eps`` of
-      :meth:`bernstein`, and the smallest nonzero magnitude a direction's real
-      and imaginary parts may have for every product over absolute values in
-      it to be a normal float (``inf`` if a power of the cap is not one).
+      :meth:`bernstein`, and the smallest nonzero magnitude a direction's parts may
+      have for every product over absolute values in it to be a normal float.
 
-    The binomials are exact integers rounded once to float, and every entry of
-    both maps is nonnegative.  The arrays are read-only, since every caller
-    shares them.  A plan holds about ``25 L^2`` floats, 325 KB at ``L = 40``,
-    most of it the raise map, and sixteen are kept.
+    The binomials are exact integers rounded once to float, and every entry of both
+    maps is nonnegative.  The arrays are read-only, since every caller shares them.
+    A plan holds about ``25 L^2`` floats, 325 KB at ``L = 40``, most of it the raise map.
     """
 
     __slots__ = ("node_rows", "slope_map", "power_map", "raise_map", "tolerance", "least_part")
 
-    def __init__(self, order: int, max_amplitude: float) -> None:
+    def __init__(self, order: int) -> None:
         k = np.arange(2 * order + 1)
         theta = np.pi * (k + 0.5) / k.size
         cosines = np.cos(np.outer(k, theta)) * (2.0 / k.size)
@@ -458,13 +464,10 @@ class _NodePlan:
         derivative = np.where((gap > 0) & (gap % 2 == 1), 2.0 * k, 0.0)
         derivative[0] *= 0.5
         self.slope_map = derivative @ cosines
-        self.node_rows = basis_rows(0.5 * max_amplitude * (np.cos(theta) + 1.0), order).astype(complex)
-        binomials = np.zeros((order + 1, order))
+        self.node_rows = basis_rows(0.5 * (np.cos(theta) + 1.0), order).astype(complex)
+        self.power_map = np.zeros((order + 1, order))
         for l in range(1, order + 1):
-            binomials[l:, l - 1] = _binomials(order - l)
-        with np.errstate(all="ignore"):
-            powers = basis_rows(float(max_amplitude), order)
-            self.power_map = binomials * powers
+            self.power_map[l:, l - 1] = _binomials(order - l)
         self.tolerance, self.least_part = (8 * order + 16) * np.finfo(float).eps, math.inf
         try:
             up = np.concatenate([_binomials(6 * order), np.zeros(2 * order)])
@@ -475,19 +478,17 @@ class _NodePlan:
             # The 2L zeros after C(6L, 6L) are what every n - m outside [0, 6L]
             # reads, a negative one counting from the end.
             self.raise_map = up[np.arange(down.size)[:, None] - k] / down[:, None]
-            if powers.min() >= _SMALLEST_NORMAL:
-                # A nonzero entry of the build over absolute values is at least
-                # p x for the least entries p of the power map and x of the parts,
-                # squared and times r of the raise map and the tolerance at the end.
-                floor = math.sqrt(_SMALLEST_NORMAL / (self.tolerance * _smallest_magnitude(self.raise_map)))
-                self.least_part = floor / _smallest_magnitude(self.power_map)
+            # A nonzero entry of the build over absolute values is at least
+            # b x for the least entries b >= 1 of the power map and x of the parts,
+            # squared and times r of the raise map and the tolerance at the end.
+            self.least_part = math.sqrt(_SMALLEST_NORMAL / (self.tolerance * _smallest_magnitude(self.raise_map)))
         for array in (self.node_rows, self.slope_map, self.power_map, self.raise_map):
             if array is not None:
                 array.flags.writeable = False
 
     def bernstein(self, basis: np.ndarray) -> np.ndarray | None:
         """Bounds on the degree-``8L`` Bernstein coefficients ``q_j`` (rows) of the
-        energies ``|f(t cap) . b_i|^2``, ``t`` in ``[0, 1]``, of the directions
+        energies ``|f(u) . b_i|^2``, ``u`` in ``[0, 1]``, of the directions
         ``b_i``, the columns of ``basis``; ``None`` where the bound below fails.
 
         The real and imaginary parts of each direction go through the two maps
@@ -525,32 +526,37 @@ _node_plan = functools.lru_cache(maxsize=16)(_NodePlan)
 class _MaxPlan:
     """What :func:`max_prediction_mse` reuses per (design, prior, cap); no noise variance in it.
 
-    - ``factor``: the design's :class:`_Factor`, its arrays read-only.
-    - ``node_values``: :meth:`_Factor.energies` at the rows of :func:`_node_plan`,
-      so ``node_values @ w`` are the node values of the weights ``w``.
-    - ``end_points`` and ``end_values``: the endpoints ``0`` and the cap as the
-      root step scores them, and the energies at their rows.
-    - ``bernstein``: :meth:`_NodePlan.bernstein` of the factor's directions,
-      ``(8L + 1, k)``, or ``None``.
-    - ``unit``: the LS maximum and its amplitude at ``sigma2 = 1``.  The LS MSE
-      is ``sigma2 f^T (Phi^H Phi)^-1 f``, so the maximum at any ``sigma2`` is
-      ``sigma2`` times it, at the same amplitude.  ``None`` for LMMSE and for
-      an LS design that fails the rank test or whose unit maximum overflows.
+    - ``factor``: the :class:`_Factor` of the design's scale-free rows, read-only.
+      The plan works on ``t = a / c`` in ``[0, ratio]``, ``ratio = cap / c``, and
+      applies ``ratio`` to the node rows, the directions the Bernstein bound
+      reads and the ``t`` it reports as the amplitude of a maximum.
+    - ``node_values``: :meth:`_Factor.energies` at the node rows of :func:`_node_plan`
+      times ``ratio^l``, so ``node_values @ w`` are the node values of the weights ``w``.
+    - ``end_points`` and ``end_values``: ``0`` and ``ratio``, and the energies at their rows.
+    - ``bernstein``: :meth:`_NodePlan.bernstein` of the factor's directions
+      times ``ratio^l``, ``(8L + 1, k)``, or ``None``.
+    - ``unit``: the LS maximum and its ``t`` at ``sigma2 = 1``.  The LS MSE is
+      ``sigma2 f^T (Phi^H Phi)^-1 f``, so the maximum at any ``sigma2`` is ``sigma2`` times
+      it, at the same ``t``; ``None`` for LMMSE and an LS design that fails the rank
+      test or whose unit maximum overflows.
 
     Besides the factor, a plan holds about ``(10 L + 4) k`` floats for ``k``
     directions, 130 KB at ``L = k = 40``; the Bernstein bounds are most of it.
     """
 
-    __slots__ = ("factor", "max_amplitude", "node_values", "end_points", "end_values", "bernstein", "unit")
+    __slots__ = ("factor", "ratio", "node_values", "end_points", "end_values", "bernstein", "unit")
 
-    def __init__(self, factor: _Factor, max_amplitude: float) -> None:
-        self.factor, self.max_amplitude, self.unit = factor, max_amplitude, None
+    def __init__(self, factor: _Factor, ratio: float) -> None:
+        self.factor, self.ratio, self.unit = factor, ratio, None
         order = factor.basis.shape[0]
-        plan = _node_plan(order, max_amplitude)
-        self.node_values = factor.energies(plan.node_rows)
-        self.end_points = 0.5 * max_amplitude * np.array([0.0, 2.0])
+        plan = _node_plan(order)
+        self.end_points = np.array([0.0, ratio])
         self.end_values = factor.energies(basis_rows(self.end_points, order))
-        self.bernstein = plan.bernstein(factor.basis)
+        with np.errstate(all="ignore"):
+            powers = basis_rows(ratio, order)
+            self.node_values = factor.energies(plan.node_rows * powers)
+            # A part the powers flush to zero errs far below at_cap's subnormal slack.
+            self.bernstein = plan.bernstein(powers[:, None] * factor.basis)
         for array in (factor.u, factor.s, factor.basis, self.node_values, self.end_points, self.end_values):
             array.flags.writeable = False
         if self.bernstein is not None:
@@ -571,24 +577,25 @@ class _MaxPlan:
         """
         if self.bernstein is None:
             return np.zeros(weights.shape[1], dtype=bool)
-        bounds = self.bernstein @ weights
-        return bounds[:-1].max(axis=0) + weights.shape[0] * _SMALLEST_SUBNORMAL <= bounds[-1]
+        # A stack of (k, 1) columns, so each takes its product alone, as in a call of its own.
+        bounds = (self.bernstein @ weights.T[..., None])[..., 0]
+        return bounds[:, :-1].max(axis=1) + weights.shape[0] * _SMALLEST_SUBNORMAL <= bounds[:, -1]
 
     def max_mse(self, sigma2s) -> tuple[np.ndarray, np.ndarray]:
-        """Maximal prediction MSE over ``[0, max_amplitude]`` per noise variance
-        in the 1-D ``sigma2s``, and the amplitude where each maximum sits.
+        """Maximal prediction MSE over ``t`` in ``[0, ratio]`` per noise variance
+        in the 1-D ``sigma2s``, and the ``t`` where each maximum sits.
 
         LS scales ``unit`` after the noise check of each ``sigma2``, so it
         raises only where that product overflows.  Otherwise the weights run
-        the noise check and the rank test, and the node values of every
-        ``sigma2`` go to the derivative coefficients in one product with the
-        node plan's map, which must not overflow.  A column that :meth:`at_cap`
-        certifies takes the larger MSE of the two endpoints.  Every other one
-        takes the root step: numpy's ``chebroots`` takes the roots of its
-        derivative series, and the endpoints and clipped roots are scored with
-        the weights already taken.
+        the noise check and the rank test, and each of their ``(k, 1)`` columns
+        takes its products alone, as in a call of its own.  A column that
+        :meth:`at_cap` certifies takes the larger MSE of the two endpoints.
+        Every other one takes the root step: its node values go to the
+        derivative coefficients, which must not overflow, numpy's ``chebroots``
+        takes the roots of that series, and the endpoints and clipped roots are
+        scored with the weights already taken.
         """
-        factor, order, half = self.factor, self.factor.basis.shape[0], 0.5 * self.max_amplitude
+        factor, order, half = self.factor, self.factor.basis.shape[0], 0.5 * self.ratio
         with np.errstate(all="ignore"):
             if self.unit is not None:
                 sigma2s = _noise_variances(sigma2s)
@@ -598,20 +605,21 @@ class _MaxPlan:
                 maxima = sigma2s * self.unit[0]
                 return _require_finite_result(maxima, "prediction MSE"), np.full(sigma2s.size, self.unit[1])
             weights = _require_finite_result(factor.weights(sigma2s), "prediction MSE")
-            plan = _node_plan(order, self.max_amplitude)
-            slopes = _require_finite_result(plan.slope_map @ (self.node_values @ weights), "prediction MSE")
+            slope_map = _node_plan(order).slope_map
             maxima, amplitudes = np.empty(weights.shape[1]), np.empty(weights.shape[1])
             for j, certified in enumerate(self.at_cap(weights)):
+                w = weights[:, j : j + 1]
                 if certified:
                     candidates, energies = self.end_points, self.end_values
                 else:
-                    roots = np.polynomial.chebyshev.chebroots(slopes[:, j]).real
+                    slopes = _require_finite_result(slope_map @ (self.node_values @ w), "prediction MSE")
+                    roots = np.polynomial.chebyshev.chebroots(slopes[:, 0]).real
                     points = np.empty(roots.size + 2)
                     points[:2] = -1.0, 1.0
                     np.minimum(np.maximum(roots, -1.0), 1.0, out=points[2:])
                     candidates = half * (points + 1.0)
                     energies = factor.energies(basis_rows(candidates, order))
-                values = energies @ weights[:, j : j + 1]
+                values = energies @ w
                 best = int(values.argmax())
                 maxima[j], amplitudes[j] = values[best, 0], candidates[best]
         return _require_finite_result(maxima, "prediction MSE"), amplitudes
@@ -619,15 +627,14 @@ class _MaxPlan:
 
 @functools.lru_cache(maxsize=4)
 def _max_plan(shape: tuple, data: bytes, prior: PriorStatistics | None, max_amplitude: float) -> _MaxPlan:
-    """The plan of the checked design with ``shape`` and bytes ``data``; the
-    monomial check runs when it is built.  The prior is keyed by identity and
-    its root is read-only.  An entry for an ``N x L`` design with ``k``
-    factored directions holds about ``32 N L + 96 L k`` bytes with its key,
-    8 KB at ``L = k = 7, N = 14`` and 65 KB at ``L = k = 20, N = 40``, besides
-    the prior it keeps alive.
-    """
-    design = _monomial_design(np.frombuffer(data, dtype=complex).reshape(shape), prior)
-    return _MaxPlan(_factor(design, prior), max_amplitude)
+    """The plan of the checked design with ``shape`` and bytes ``data``, on its
+    scale-free rows; the monomial check runs when it is built.  The prior is keyed
+    by identity and its root is read-only.  An entry for an ``N x L`` design with
+    ``k`` factored directions holds about ``32 N L + 96 L k`` bytes with its key,
+    8 KB at ``L = k = 7, N = 14`` and 65 KB at ``L = k = 20, N = 40``, besides the
+    prior it keeps alive."""
+    rows, scale = _monomial_design(np.frombuffer(data, dtype=complex).reshape(shape), prior)
+    return _MaxPlan(_factor(rows, prior, scale), max_amplitude / scale)
 
 
 def max_prediction_mse(
@@ -642,27 +649,20 @@ def max_prediction_mse(
     array of them, which returns an array of the same length; one number is
     the one-entry sweep.
 
-    The maximum is exact up to round-off, about ``cond(Phi) eps`` relative: a
-    noise variance whose maximum a Bernstein certificate puts at the cap takes
-    the MSE there, and every other one the largest MSE over both endpoints and
-    the roots of the derivative (the module docstring has both steps).  The
-    derivative series is not chopped: in the monomial basis round-off and a
-    real leading coefficient reach the same size near ``L = 15``.
+    The maximum is exact up to round-off, about ``cond eps`` relative for the
+    condition number of the design's scale-free rows: a noise variance whose
+    maximum a Bernstein certificate puts at the cap takes the MSE there, and
+    every other one the largest MSE over both endpoints and the roots of the
+    derivative (the module docstring has both steps).  The derivative series is
+    not chopped: in the monomial basis round-off and a real leading coefficient
+    reach the same size near ``L = 15``.  A noise variance inside a sweep
+    returns the bits of its own call.
 
-    A noise variance inside a longer sweep can differ from the same variance
-    alone by round-off of the root step, whose derivative coefficients come
-    from a product of another width.  Over the cases of the tests (orders
-    2..12, caps 1 and 2.5, ``N = L`` and ``2L``, no prior, a full-rank and a
-    low-rank prior, the fig4 sweep) that is at most 2.5e-12 relative up to
-    ``L = 8`` and 2.1e-10 at ``L = 12``.  A maximum certified at the cap in
-    both forms is the same bits.
-
-    Consecutive calls on one (design, prior, cap), such as a loop over
-    ``sigma2``, share one plan (:func:`_max_plan`, four entries keyed by the
-    design's shape and bytes, the prior object and the cap).  An LS maximum is
-    then ``sigma2`` times the plan's maximum at ``sigma2 = 1``.  The design
-    checks run on every call, then the noise check and the rank test of every
-    ``sigma2`` as arrays; the first ``sigma2`` that fails raises.
+    Consecutive calls on one (design, prior, cap), such as a loop over ``sigma2``,
+    share one plan (:func:`_max_plan`, four entries keyed by the design's shape and
+    bytes, the prior object and the cap), and an LS maximum is ``sigma2`` times the
+    plan's maximum at ``sigma2 = 1``.  The design checks run on every call, then the
+    noise check and the rank test of every ``sigma2``; the first that fails raises.
     """
     if not (isinstance(max_amplitude, numbers.Real) and 0 < max_amplitude < math.inf):
         raise InvalidInputError("max_amplitude must be a positive and finite real number")

@@ -8,6 +8,7 @@ which is linear in the coefficients once the pilot symbols are expanded into a
 design matrix with entries s_n * |s_n|^(l-1).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,15 @@ CONDITION_LIMIT = 1e12
 
 # Slack allowed when checking pilot amplitudes against the power cap.
 AMPLITUDE_TOLERANCE = 1e-12
+
+
+def _require_integer(value, label: str) -> int:
+    """``value`` as an ``int`` if it is an integer of any kind; a float, even a whole one, raises
+    :class:`InvalidInputError` instead of being truncated or failing inside numpy."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{label} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +99,7 @@ def eval_polynomial(model: PaPolynomial, s):
 
 def basis_rows(s, order: int) -> np.ndarray:
     """Basis rows ``(s, s|s|, ..., s|s|^(order-1))``, one per entry of real or complex ``s``."""
-    if order < 1:
+    if _require_integer(order, "order") < 1:
         raise InvalidInputError("order must be >= 1")
     s = np.asarray(s)[..., None]
     # Float powers: an integer exponent array would be cast to float on every call.

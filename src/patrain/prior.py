@@ -28,7 +28,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .estimators import PriorStatistics, _seeded_rng
-from .pa_model import PaPolynomial, RappParameters, basis_rows, rapp_am_am, rapp_response
+from .pa_model import PaPolynomial, RappParameters, _require_integer, basis_rows, rapp_am_am, rapp_response
 
 COHERENT = "coherent"
 NONCOHERENT = "noncoherent"
@@ -101,7 +101,7 @@ class PriorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.realizations < 1:
+        if _require_integer(self.realizations, "realizations") < 1:
             raise InvalidInputError("realizations must be >= 1")
         if self.mode not in (COHERENT, NONCOHERENT):
             raise InvalidInputError(f"unknown prior mode: {self.mode!r}")
@@ -160,7 +160,7 @@ def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count
 
 def _check_fit_grid(grid: np.ndarray, order: int) -> None:
     """Reject an order below 1, a non-finite grid, and a grid on which the fit is rank deficient."""
-    if order < 1:
+    if _require_integer(order, "fit order") < 1:
         raise InvalidInputError("fit order must be >= 1")
     if not np.all(np.isfinite(grid)):
         raise NonFiniteInputError("fit grid must be finite")

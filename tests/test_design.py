@@ -211,6 +211,13 @@ def test_d_criterion_is_infinite_exactly_when_ls_fails(order):
         ls_fails = True
     assert ls_fails == (order == 17)
     assert (d_criterion(phi, 1.0).log_det == np.inf) == ls_fails
+    # L pilots on L - 1 distinct amplitudes: a design singular in any basis,
+    # which a better conditioned basis cannot make regular.
+    support = optimal_support_points(order)
+    repeated = build_design_matrix(PilotSequence(np.append(support[1], support[1:]).astype(complex)), order)
+    with pytest.raises(RankDeficiencyError):
+        ls_estimate(repeated, np.zeros(order), 1.0)
+    assert d_criterion(repeated, 1.0).log_det == np.inf
 
 
 # ------------------------------------------------------------ exchange search

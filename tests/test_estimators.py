@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -482,20 +483,42 @@ def test_an_ls_mse_inside_the_float_range_is_returned():
     assert max_prediction_mse(phi, 1e300) == 1e300 * max_prediction_mse(phi, 1.0)
     assert max_prediction_mse(phi, 1e300) == pytest.approx(1.9906536852687255e300, rel=1e-12)
     assert mse_curve(phi, [0.5], 1e300).mse_values[0] == pytest.approx(1e300 * prediction_mse(phi, 0.5, 1.0), rel=1e-14)
-    # Nor does s^-2 overflow first where s is tiny: at a 1e-160 cap the MSE is
-    # finite, to the five or so digits its subnormal energies keep.
+    # At a 1e-160 cap the rows of the pilots over their largest amplitude keep
+    # every digit: the MSE sigma2 a^2 / sum |s_n|^2 is 0.8 sigma2 at the cap.
     tiny = build_design_matrix(uniform_pilots(2, 1e-160), 1)
-    assert mse_curve(tiny, [1e-160], 1e-300).mse_values[0] == pytest.approx(8e-301, rel=1e-4)
+    assert mse_curve(tiny, [1e-160], 1e-300).mse_values[0] == pytest.approx(8e-301, rel=1e-14)
+    assert max_prediction_mse(tiny, 1.0, max_amplitude=1e-160) == pytest.approx(0.8, rel=1e-14)
+    assert max_prediction_mse(tiny, 1e-300, max_amplitude=1e-160) == pytest.approx(8e-301, rel=1e-14)
 
 
 def test_ls_design_whose_unit_maximum_overflows_takes_the_root_step():
-    # At a 1e-160 cap, s^2 underflows and the weights at sigma2 = 1 overflow,
-    # so the plan keeps no unit maximum, yet sigma2 = 1e-300 has a finite one.
-    phi = build_design_matrix(uniform_pilots(2, 1e-160), 1)
-    assert max_prediction_mse(phi, 1e-300, max_amplitude=1e-160) == pytest.approx(8e-301, rel=1e-12)
-    assert _plan_of(phi, None, 1e-160).unit is None
+    # Pilots 0.5 and 1 at order 2 with the maximum taken up to a 6e76 cap: the
+    # MSE there is sigma2 (20 a^4 - 36 a^3 + 17 a^2), 2.6e308 at sigma2 = 1, so
+    # the plan keeps no unit maximum, yet sigma2 = 1e-300 has a finite one.
+    phi = build_design_matrix(uniform_pilots(2), 2)
+    assert max_prediction_mse(phi, 1e-300, max_amplitude=6e76) == pytest.approx(2.592e8, rel=1e-12)
+    assert _plan_of(phi, None, 6e76).unit is None
     with pytest.raises(InvalidNoiseError, match="overflow"):
-        max_prediction_mse(phi, 1.0, max_amplitude=1e-160)
+        max_prediction_mse(phi, 1.0, max_amplitude=6e76)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-3, 1e3])
+@pytest.mark.parametrize("order", range(1, 9))
+def test_ls_mse_does_not_depend_on_the_amplitude_scale(order, scale):
+    # The LS MSE at amplitude a of pilots scaled by c, up to a cap c, is the
+    # MSE at a / c of the unscaled pilots.  The scaled amplitudes divided by c
+    # again differ from the unscaled ones by a rounding or two, and the MSE
+    # carries round-off of about cond eps, cond that of the unscaled design:
+    # the tolerance is 4 cond eps (measured at most 1.5 cond eps, at cond 1).
+    grid = np.linspace(0.0, 1.0, 101)
+    for n_pilots in (order, 2 * order):
+        for pilots in (lambda c: uniform_pilots(n_pilots, c), lambda c: allocate_pilots(order, n_pilots, c)):
+            unit, scaled = (build_design_matrix(pilots(c), order) for c in (1.0, scale))
+            tolerance = 4 * np.linalg.cond(unit) * np.finfo(float).eps
+            expected = max_prediction_mse(unit, 1.0)
+            assert max_prediction_mse(scaled, 1.0, max_amplitude=scale) == pytest.approx(expected, rel=tolerance)
+            curve = mse_curve(unit, grid, 1.0).mse_values
+            assert_allclose(mse_curve(scaled, grid * scale, 1.0).mse_values, curve, rtol=0, atol=tolerance * curve.max())
 
 
 def _grid_maxima(phi, sigma2, prior=None, max_amplitude=1.0, points=100_001):
@@ -641,25 +664,28 @@ def test_derivative_coefficients_match_numpy_interpolate_and_differentiate(order
     cheb = np.polynomial.chebyshev
     series = np.random.default_rng(order).normal(size=2 * order + 1)
     reference = cheb.chebder(cheb.chebinterpolate(lambda x: cheb.chebval(x, series), 2 * order))
-    slope_map = _node_plan(order, 1.0).slope_map
+    slope_map = _node_plan(order).slope_map
     got = slope_map @ cheb.chebval(_chebyshev_nodes(2 * order), series)
     assert got.shape == reference.shape
     assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
     # The map is built once per plan and shared by every caller.
-    assert _node_plan(order, 1.0).slope_map is slope_map
+    assert _node_plan(order).slope_map is slope_map
     assert not slope_map.flags.writeable
     assert _node_plan.cache_info().maxsize is not None
 
 
 def _mse_slopes(factor, cap, sigma2s):
-    """The derivative coefficients whose roots ``_MaxPlan.max_mse`` takes, computed as it computes them."""
-    plan = _node_plan(factor.basis.shape[0], cap)
-    return plan.slope_map @ (factor.energies(plan.node_rows) @ factor.weights(sigma2s))
+    """The derivative coefficients whose roots ``_MaxPlan.max_mse`` takes on ``[0, cap]``,
+    as it computes them: the unit node rows times ``cap^l``, one column at a time."""
+    order = factor.basis.shape[0]
+    plan = _node_plan(order)
+    node_values = factor.energies(plan.node_rows * basis_rows(cap, order))
+    weights = factor.weights(sigma2s)
+    return np.column_stack([plan.slope_map @ (node_values @ weights[:, j : j + 1]) for j in range(weights.shape[1])])
 
 
-# From about L = 29 the leading MSE coefficients of these cases are round-off,
-# and one comes out exactly 0 at L = 29 (sigma2 1e-3) and L = 31 (sigma2 0.1).
-EXACT_ZERO_LEADING_ORDERS = (29, 31)
+# From about L = 29 the leading MSE coefficients of these cases are round-off.
+ROUND_OFF_LEADING_ORDERS = (29, 31)
 
 
 def test_order_one_maximum_sits_at_the_cap():
@@ -672,21 +698,27 @@ def test_order_one_maximum_sits_at_the_cap():
     assert np.array_equal(amplitudes, [2.5] * 3)
 
 
-@pytest.mark.parametrize("order", EXACT_ZERO_LEADING_ORDERS)
-def test_max_mse_with_an_exactly_zero_leading_coefficient(order):
-    # Uniform 2L pilots with a random full-rank prior, seeded by the order.
+@pytest.mark.parametrize("order", ROUND_OFF_LEADING_ORDERS)
+def test_max_mse_with_a_round_off_leading_coefficient(order):
+    # Uniform 2L pilots with a random full-rank prior, seeded by the order.  The
+    # leading derivative coefficient is round-off, at most 3.3e-15 of the
+    # series' largest one here, and every maximum sits at the cap, so the
+    # certificate passes; without it the root step takes that series.
     rng = np.random.default_rng(order)
     prior = PriorStatistics(rng.normal(size=order), _random_hpd(rng, order))
-    factor = _factor(build_design_matrix(uniform_pilots(2 * order), order), prior)
+    phi = build_design_matrix(uniform_pilots(2 * order), order)
+    factor = _factor(phi, prior)
     sigma2s = np.array(EQUIVALENCE_SIGMA2S)
-    assert (_mse_slopes(factor, 1.0, sigma2s)[-1] == 0).any()
-    maxima, amplitudes = _MaxPlan(factor, 1.0).max_mse(sigma2s)
+    slopes = _mse_slopes(factor, 1.0, sigma2s)
+    assert (np.abs(slopes[-1]) <= 1e-14 * np.abs(slopes).max(axis=0)).all()
     # Measured at L = 29 and 31: the 200,001-point grid maximum exceeds the
-    # returned maximum by at most 2.9e-16 relative, and the MSE at the
-    # returned amplitude differs from it by at most 1.7e-16 relative.
+    # returned maximum by at most 2.2e-16 relative, and the MSE at the
+    # returned amplitude differs from it by at most 2.2e-16 relative.
     on_grid = factor.mse(np.linspace(0.0, 1.0, 200_001), sigma2s).max(axis=0)
-    assert (maxima >= on_grid * (1 - 1e-15)).all()
-    assert_allclose(np.diag(factor.mse(amplitudes, sigma2s)), maxima, rtol=1e-15, atol=0)
+    for plan in (_fresh_plan(phi, prior, 1.0), _root_step_plan(phi, prior, 1.0)):
+        maxima, amplitudes = plan.max_mse(sigma2s)
+        assert (maxima >= on_grid * (1 - 1e-15)).all()
+        assert_allclose(np.diag(factor.mse(amplitudes, sigma2s)), maxima, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("order", range(2, 41))
@@ -829,32 +861,27 @@ def test_most_lmmse_maxima_of_the_fig4_sweep_are_certified():
 
 @pytest.mark.parametrize("order", range(2, 13))
 def test_a_noise_variance_inside_a_sweep_matches_its_scalar_call(order):
-    # Measured over these cases: at most 2.5e-12 relative up to L = 8 and
-    # 2.1e-10 at L = 12, both on uniform N = L pilots over [0, 2.5] with a
-    # full-rank prior, where the derivative coefficients of the root step come
-    # from a product of another width.  A maximum certified at the cap in both
-    # forms is evaluated alike, so it is the same bits.
-    bound = 1e-11 if order <= 8 else 1e-9
+    # Every product with the weights takes one (k, 1) column at a time, so a
+    # noise variance gets the same bits inside the fig4 sweep as alone,
+    # certified at the cap or not.  Products of the sweep's width differed by
+    # up to 2.1e-10 relative at L = 12.
     for phi, prior, cap, _ in _equivalence_cases(order):
         swept = max_prediction_mse(phi, FIG4_SIGMA2S, prior, cap)
-        plan = _plan_of(phi, prior, cap)
-        at_cap = plan.at_cap(plan.factor.weights(FIG4_SIGMA2S))
-        for j, sigma2 in enumerate(FIG4_SIGMA2S):
-            alone = max_prediction_mse(phi, sigma2, prior, cap)
-            assert swept[j] == pytest.approx(alone, rel=bound)
-            if at_cap[j] and plan.at_cap(plan.factor.weights([sigma2]))[0]:
-                assert swept[j] == alone
+        assert list(swept) == [max_prediction_mse(phi, sigma2, prior, cap) for sigma2 in FIG4_SIGMA2S]
 
 
 def test_no_certificate_without_normal_products_or_float_binomials():
-    # At a 1e-160 cap the powers of the cap times the parts of T V fall below
-    # the normal range, so the bound on round-off would not hold.
-    phi = build_design_matrix(uniform_pilots(2, 1e-160), 1)
-    assert _MaxPlan(_factor(phi), 1e-160).bernstein is None
-    assert _MaxPlan(_factor(build_design_matrix(uniform_pilots(2), 1)), 1.0).bernstein is not None
+    # Pilots on [0, 1] with the maximum taken up to a 1e-160 cap: the parts of
+    # T V times cap^l fall below the normal range, so the bound on round-off
+    # would not hold.  The same pilots scaled to the cap have scale-free rows,
+    # and their plan is certified.
+    phi = build_design_matrix(uniform_pilots(2), 1)
+    assert _plan_of(phi, None, 1e-160).bernstein is None
+    assert _plan_of(phi, None, 1.0).bernstein is not None
+    assert _plan_of(build_design_matrix(uniform_pilots(2, 1e-160), 1), None, 1e-160).bernstein is not None
     # C(8L, 4L) leaves the float range from L = 129.
-    assert _NodePlan(128, 1.0).raise_map is not None
-    beyond = _NodePlan(129, 1.0)
+    assert _NodePlan(128).raise_map is not None
+    beyond = _NodePlan(129)
     assert beyond.raise_map is None and beyond.bernstein(np.eye(129)) is None
 
 
@@ -878,7 +905,7 @@ def test_ls_maxima_scale_exactly_with_sigma2(order):
                 assert np.array_equal(swept, SCALING_SIGMA2S * unit)
                 assert [max_prediction_mse(phi, sigma2, max_amplitude=cap) for sigma2 in SCALING_SIGMA2S] == list(swept)
                 # The unit maximum is the root step that every LMMSE variance takes.
-                root_step = _MaxPlan(_factor(phi), cap)
+                root_step = _fresh_plan(phi, None, cap)
                 root_step.unit = None
                 assert root_step.max_mse(np.ones(1))[0][0] == unit
                 checked += 1
@@ -902,24 +929,30 @@ def test_the_first_failing_noise_variance_decides_the_error():
 
 
 @pytest.mark.parametrize("order", [2, 5, 9])
-def test_node_plan_is_built_once_per_order_and_cap(order):
-    cap = 1.0 + order / 64  # a cap no other test uses, so the first call builds it
-    phi = build_design_matrix(uniform_pilots(2 * order, cap), order)
-    before = _node_plan.cache_info()
-    first = max_prediction_mse(phi, 0.1, max_amplitude=cap)
-    assert max_prediction_mse(phi, 0.1, max_amplitude=cap) == first
-    after = _node_plan.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    assert after.maxsize is not None
-    plan = _node_plan(order, cap)
-    assert _node_plan(order, cap) is plan
-    arrays = (plan.node_rows, plan.slope_map)
+def test_node_plan_is_built_once_per_order(order):
+    # Two pilot scales, each with the maximum taken up to its own cap and up to
+    # another: all four plans share the one node plan of the order.
+    _max_plan.cache_clear()
+    _node_plan.cache_clear()
+    for scale in (1.0, 2.5):
+        phi = build_design_matrix(uniform_pilots(2 * order, scale), order)
+        for cap in (scale, 1.0 + order / 64):
+            max_prediction_mse(phi, 0.1, max_amplitude=cap)
+    info = _node_plan.cache_info()
+    assert info.misses == 1 and info.maxsize is not None
+    plan = _node_plan(order)
+    assert _node_plan(order) is plan
+    arrays = (plan.node_rows, plan.slope_map, plan.power_map, plan.raise_map)
     assert not any(array.flags.writeable for array in arrays)
-    assert np.array_equal(plan.node_rows, basis_rows(0.5 * cap * (_chebyshev_nodes(2 * order) + 1.0), order))
-    # The rows depend on the cap, the map does not.
-    other = _node_plan(order, 2.5)
-    assert not np.array_equal(other.node_rows, plan.node_rows)
-    assert np.array_equal(other.slope_map, plan.slope_map)
+    assert np.array_equal(plan.node_rows, basis_rows(0.5 * (_chebyshev_nodes(2 * order) + 1.0), order))
+    # The power map holds bare binomials C(L - l, j - l), no power of a cap.
+    binomials = [[math.comb(order - l, j - l) if j >= l else 0 for l in range(1, order + 1)] for j in range(order + 1)]
+    assert np.array_equal(plan.power_map, binomials)
+
+
+def _fresh_plan(phi, prior, cap):
+    """The plan ``max_prediction_mse`` builds for ``phi``, on its scale-free rows, outside the memo."""
+    return _max_plan.__wrapped__(phi.shape, phi.tobytes(), prior, cap)
 
 
 MEMO_KINDS = ("none", "full", "rank-deficient")
@@ -1326,6 +1359,32 @@ def test_domain_errors_are_invalid_input_and_value_errors():
     with pytest.raises(RankDeficiencyError) as info:
         PriorConfig(fit_order=7, fit_grid=np.array([0.0, 0.5, 1.0]))
     assert isinstance(info.value, ValueError)
+
+
+NON_INTEGER_COUNT_CALLS = {
+    "design-order": lambda: build_design_matrix(uniform_pilots(3), 2.5),
+    "basis-rows-order": lambda: basis_rows(0.5, np.float64(3.0)),
+    "fit-order": lambda: fit_polynomial_to_curve(RappParameters(), 2.5, default_fit_grid()),
+    "legendre-order": lambda: legendre_derivative_roots(2.5),
+    "allocation-order": lambda: allocate_pilots(2.5, 5),
+    "allocation-pilots": lambda: allocate_pilots(5, 5.0),
+    "uniform-pilots": lambda: uniform_pilots(2.5),
+    "exchange-grid": lambda: exchange_search_verify(3, 3, grid_resolution=150.5),
+    "exchange-seed": lambda: exchange_search_verify(3, 3, seed=1.5),
+    "prior-realizations": lambda: build_prior(PriorConfig(2.5, 3), RappDistribution()),
+    "prior-order": lambda: PriorConfig(100, 2.5),
+    "prior-seed": lambda: build_prior(PriorConfig(10, 3, seed=1.5), RappDistribution()),
+    "noise-seed": lambda: NoiseModel(0.1, seed=1.5),
+    "fig3-seed": lambda: run_fig3(seed=1.5),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_COUNT_CALLS.values(), ids=NON_INTEGER_COUNT_CALLS.keys())
+def test_a_count_that_is_no_integer_is_an_input_error(call):
+    # Orders, counts, grid steps and seeds take integers of any kind; a float,
+    # even a whole one, used to be truncated or to fail inside numpy.
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        call()
 
 
 def test_array_holding_values_compare_by_identity_and_hash():

@@ -15,13 +15,17 @@ from patrain import (
     PilotSequence,
     allocate_pilots,
     build_design_matrix,
+    max_prediction_mse,
     mse_curve,
     uniform_pilots,
 )
+from patrain.estimators import _factor
 from patrain.experiments import (
     CsvTable,
     DEFAULT_SNR_SWEEP_DB,
+    FIG4_COLUMNS,
     FIGURE_MSE_SAMPLES,
+    PER_SYMBOL,
     design_table,
     estimate_from_files,
     estimation_table,
@@ -66,6 +70,39 @@ def test_fig2_reproduces_reference_ratios():
     assert tuple(table.column("order")) == tuple(range(1, 9))
     for ratio, expected in zip(table.column("gain_ratio"), REFERENCE_FIG2_RATIOS):
         assert ratio == pytest.approx(expected, rel=1e-3)
+
+
+def _below_the_exact_maximum(sampled, design, sigma2s, prior=None):
+    """Whether each sampled maximum is at most the exact maximum of its sigma2,
+    within cond eps of the factored system at that sigma2."""
+    sv = _factor(design, prior).singular_values(sigma2s)
+    exact = max_prediction_mse(design, np.asarray(sigma2s, dtype=float), prior)
+    return sampled <= exact * (1 + sv[0] / sv[-1] * np.finfo(float).eps)
+
+
+def test_sampled_figure_maxima_stay_below_the_exact_maxima():
+    # fig2 and fig4 take each maximum over FIGURE_MSE_SAMPLES equispaced
+    # amplitudes, so no default cell may exceed the exact maximum.
+    grid = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
+    for order, ratio in run_fig2().rows:
+        order = int(order)
+        designs = [build_design_matrix(pilots, order) for pilots in (uniform_pilots(order), allocate_pilots(order, order))]
+        sampled = [mse_curve(design, grid, 1.0).mse_values.max() for design in designs]
+        assert ratio == sampled[0] / sampled[1]
+        for value, design in zip(sampled, designs):
+            assert _below_the_exact_maximum(value, design, [1.0]).all(), order
+    table = run_fig4()
+    sigma2s = [snr_db_to_sigma2(snr_db, PER_SYMBOL, 7) for snr_db in table.column("snr_db")]
+    # run_fig4's priors equal these.
+    priors = {
+        name: build_prior(PriorConfig(100, 7, seed=0, mode=mode), RappDistribution())
+        for name, mode in (("lmmse_coh", COHERENT), ("lmmse_noncoh", NONCOHERENT))
+    }
+    for column in FIG4_COLUMNS[1:]:
+        _, allocation, estimator = column.split("_", 2)
+        pilots = uniform_pilots(7) if allocation == "uniform" else allocate_pilots(7, 7)
+        design = build_design_matrix(pilots, 7)
+        assert _below_the_exact_maximum(table.column(column), design, sigma2s, priors.get(estimator)).all(), column
 
 
 def test_fig3_reference_values():
