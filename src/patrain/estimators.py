@@ -9,8 +9,8 @@ for LS, 1 for LMMSE), so estimates, covariances, prediction MSE and the
 D-criterion all follow in closed form, and one factor serves a whole SNR sweep.
 
 The MSE functions work on scale-free rows: with ``c`` the largest pilot
-amplitude (1 if all are 0), :func:`_monomial_design` builds the monomial rows
-``f(s / c)``, ``f(a) = (a, ..., a^L)``, the prior root is scaled by ``c^l``, and
+amplitude (1 if all are 0), :func:`_scale_free_factor` factors the monomial rows
+``f(s / c)``, ``f(a) = (a, ..., a^L)``, with the prior root scaled by ``c^l``, and
 the MSE at ``a`` is read at ``t = a / c``, so no power of ``c`` costs digits.
 With the weights ``w = sigma2 / sv^2``, the MSE ``sum_i |f(t) . (T V)_i|^2 w_i``
 is a real polynomial of degree ``2L`` in ``t``, and its exact maximum over
@@ -265,22 +265,21 @@ class _Factor:
         times :meth:`weights` it is the MSE, the one evaluator of every MSE here."""
         return np.abs(rows @ self.basis) ** 2
 
-    def mse(self, amplitudes, sigma2s) -> np.ndarray:
-        """Prediction MSE ``sum_i |f(a)^T T v_i|^2 w_i`` at real nonnegative amplitudes (rows)
-        for each noise variance (columns), with the monomial rows ``f(a) = (a, ..., a^L)``."""
-        amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-        return self.rows_mse(basis_rows(amplitudes, self.basis.shape[-2]), sigma2s)
-
     def rows_mse(self, rows, sigma2s) -> np.ndarray:
-        """:meth:`mse` at prediction ``rows`` from :func:`basis_rows`, built once for several factors.
-        An LS MSE is ``sigma2`` times ``sum_i |rows @ T v_i / s_i|^2``, so it raises only where it overflows."""
+        """Prediction MSE ``sum_i |rows @ T v_i|^2 w_i`` per row the caller builds in the design's basis (rows)
+        and noise variance (columns).  An LS MSE is ``sigma2`` times ``sum_i |rows @ T v_i / s_i|^2``, and
+        the product with the weights where that sum overflows, so it raises only where the MSE overflows."""
         with np.errstate(all="ignore"):
             if self.regularized:
                 values = self.energies(rows) @ self.weights(sigma2s)
             else:
                 self.singular_values(sigma2s)
-                s = self.s[..., None, :]
-                values = (self.energies(rows) / s / s).sum(axis=-1, keepdims=True) * sigma2s
+                energies, s = self.energies(rows), self.s[..., None, :]
+                unit = (energies / s / s).sum(axis=-1)
+                values = unit[..., None] * sigma2s
+                over = np.isinf(unit).nonzero()
+                if over[0].size:
+                    values[over] = (energies[over][:, None] @ self.weights(sigma2s)[over[:-1]])[:, 0]
         return _require_finite_result(values, "prediction MSE")
 
 
@@ -292,20 +291,18 @@ def _checked_design(design: np.ndarray, prior: PriorStatistics | None) -> np.nda
     return design
 
 
-def _factor(design: np.ndarray, prior: PriorStatistics | None = None, scale: float = 1.0) -> _Factor:
+def _factor(design: np.ndarray, prior: PriorStatistics | None = None, root: np.ndarray | None = None) -> _Factor:
     """Factor the LS problem (no prior) or the whitened LMMSE problem with one SVD.
 
-    LS takes the SVD of ``Phi``.  LMMSE takes that of ``Phi T``, where ``T`` is the prior
-    root kept by :class:`PriorStatistics`, its rows times ``scale^l`` for the rows of the
-    pilots over ``scale`` (:func:`_monomial_design`).  With more columns than pilots
-    the full ``V`` is taken and ``s`` padded with zeros, so an LS system with too few
-    pilots fails the one rank test, :meth:`_Factor.singular_values`, with cond ``inf``.
-    ``design`` is checked (:func:`_checked_design`), or a stack of checked designs
-    along a leading axis, whose factors each equal their design's own bit for bit.
+    LS takes the SVD of ``Phi``.  LMMSE takes that of ``Phi T`` for the whitening
+    root ``T``, by default the one the prior keeps (:class:`PriorStatistics`).  With
+    more columns than pilots the full ``V`` is taken and ``s`` padded with zeros, so
+    an LS system with too few pilots fails the one rank test,
+    :meth:`_Factor.singular_values`, with cond ``inf``.  ``design`` is checked
+    (:func:`_checked_design`), or a stack of checked designs along a leading axis,
+    whose factors each equal their design's own bit for bit.
     """
-    root = None if prior is None else prior._whiten
-    if root is not None and scale != 1:
-        root = basis_rows(scale, root.shape[0])[:, None] * root
+    root = prior._whiten if root is None and prior is not None else root
     whitened = design if root is None else design @ root
     k = whitened.shape[-1]
     u, s, vh = np.linalg.svd(whitened, full_matrices=design.shape[-2] < k)
@@ -315,11 +312,11 @@ def _factor(design: np.ndarray, prior: PriorStatistics | None = None, scale: flo
     return _Factor(u, s, basis if root is None else root @ basis, root is not None)
 
 
-def _monomial_design(design: np.ndarray, prior: PriorStatistics | None) -> tuple[np.ndarray, float]:
-    """The scale-free rows ``basis_rows(s / c)`` of the pilots ``s``, the first column of
-    ``design``, and their largest amplitude ``c`` (1 if all are 0), if ``design`` passes
-    :func:`_checked_design`, has a column and its columns are ``s |s|^(l-1)`` of the first
-    within 1e-12 of its largest entry."""
+def _scale_free_factor(design: np.ndarray, prior: PriorStatistics | None) -> tuple[_Factor, float]:
+    """The :func:`_factor` of the scale-free rows ``basis_rows(s / c)`` of the pilots ``s``, the first
+    column of ``design``, with the prior root's rows times ``c^l``, and their largest amplitude ``c``
+    (1 if all are 0), if ``design`` passes :func:`_checked_design`, has a column and its columns are
+    ``s |s|^(l-1)`` of the first within 1e-12 of its largest entry; the rows of ``a`` are those of ``a / c``."""
     design = _checked_design(design, prior)
     if design.shape[1] < 1:
         raise InvalidInputError("order must be >= 1")
@@ -331,7 +328,8 @@ def _monomial_design(design: np.ndarray, prior: PriorStatistics | None) -> tuple
     if excess and excess > 1e-12 * np.abs(design).max(initial=0.0):
         raise InvalidInputError("columns are not s|s|^(l-1) of the first; other bases need prediction_covariance")
     scale = float(np.abs(pilots).max(initial=0.0)) or 1.0
-    return (rows if scale == 1 else basis_rows(pilots / scale, order)), scale
+    root = None if prior is None or scale == 1 else basis_rows(scale, order)[:, None] * prior._whiten
+    return _factor(rows if scale == 1 else basis_rows(pilots / scale, order), prior, root), scale
 
 
 def _check_observations(design: np.ndarray, observations: np.ndarray) -> np.ndarray:
@@ -409,8 +407,9 @@ def mse_curve(
         raise NonFiniteInputError("amplitudes hold NaN or infinite entries")
     if (amplitudes < 0).any():
         raise InvalidInputError("amplitudes must be nonnegative")
-    rows, scale = _monomial_design(design, prior)
-    return MseCurve(amplitudes, _factor(rows, prior, scale).mse(amplitudes / scale, [sigma2])[:, 0])
+    factor, scale = _scale_free_factor(design, prior)
+    rows = basis_rows(np.atleast_1d(amplitudes / scale), factor.basis.shape[0])
+    return MseCurve(amplitudes, factor.rows_mse(rows, [sigma2])[:, 0])
 
 
 def _binomials(n: int) -> np.ndarray:
@@ -633,8 +632,8 @@ def _max_plan(shape: tuple, data: bytes, prior: PriorStatistics | None, max_ampl
     ``k`` factored directions holds about ``32 N L + 96 L k`` bytes with its key,
     8 KB at ``L = k = 7, N = 14`` and 65 KB at ``L = k = 20, N = 40``, besides the
     prior it keeps alive."""
-    rows, scale = _monomial_design(np.frombuffer(data, dtype=complex).reshape(shape), prior)
-    return _MaxPlan(_factor(rows, prior, scale), max_amplitude / scale)
+    factor, scale = _scale_free_factor(np.frombuffer(data, dtype=complex).reshape(shape), prior)
+    return _MaxPlan(factor, max_amplitude / scale)
 
 
 def max_prediction_mse(

@@ -92,7 +92,7 @@ def run_fig2(max_order: int = 8) -> CsvTable:
     rows = []
     for order in range(1, max_order + 1):
         d_uniform, d_optimal = (
-            _factor(build_design_matrix(pilots, order)).mse(grid, [1.0]).max()
+            mse_curve(build_design_matrix(pilots, order), grid, 1.0).mse_values.max()
             for pilots in (uniform_pilots(order), allocate_pilots(order, order))
         )
         rows.append([order, d_uniform / d_optimal])

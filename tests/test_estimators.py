@@ -502,6 +502,23 @@ def test_ls_design_whose_unit_maximum_overflows_takes_the_root_step():
         max_prediction_mse(phi, 1.0, max_amplitude=6e76)
 
 
+def test_an_ls_mse_whose_noise_free_sum_overflows_is_returned():
+    # The same design at 6e76: sum_i e_i / s_i^2 overflows there, so that row
+    # takes the weights 1e-300 / s_i^2; every finite row keeps its bits, and at
+    # sigma2 = 1 the MSE itself overflows.
+    phi = build_design_matrix(uniform_pilots(2), 2)
+    value = mse_curve(phi, [6e76], 1e-300).mse_values[0]
+    assert value == pytest.approx(2.592e8, rel=1e-12)
+    assert value == pytest.approx(max_prediction_mse(phi, 1e-300, max_amplitude=6e76), rel=1e-14)
+    assert mse_curve(phi, [0.5, 6e76], 1e-300).mse_values[0] == mse_curve(phi, [0.5], 1e-300).mse_values[0]
+    with pytest.raises(InvalidNoiseError, match="overflow"):
+        mse_curve(phi, [6e76], 1.0)
+    # In a stack only the second factor's sum overflows, and its row takes that factor's weights.
+    rows, sigma2s = basis_rows([0.5, 6e76], 2).astype(complex), [1e-300, 1e-299]
+    singles = [_factor(design).rows_mse(rows, sigma2s) for design in (2 * phi, phi)]
+    assert np.array_equal(_factor(np.stack([2 * phi, phi])).rows_mse(rows, sigma2s), singles)
+
+
 @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1e3])
 @pytest.mark.parametrize("order", range(1, 9))
 def test_ls_mse_does_not_depend_on_the_amplitude_scale(order, scale):
@@ -714,11 +731,11 @@ def test_max_mse_with_a_round_off_leading_coefficient(order):
     # Measured at L = 29 and 31: the 200,001-point grid maximum exceeds the
     # returned maximum by at most 2.2e-16 relative, and the MSE at the
     # returned amplitude differs from it by at most 2.2e-16 relative.
-    on_grid = factor.mse(np.linspace(0.0, 1.0, 200_001), sigma2s).max(axis=0)
+    on_grid = factor.rows_mse(basis_rows(np.linspace(0.0, 1.0, 200_001), order), sigma2s).max(axis=0)
     for plan in (_fresh_plan(phi, prior, 1.0), _root_step_plan(phi, prior, 1.0)):
         maxima, amplitudes = plan.max_mse(sigma2s)
         assert (maxima >= on_grid * (1 - 1e-15)).all()
-        assert_allclose(np.diag(factor.mse(amplitudes, sigma2s)), maxima, rtol=1e-15, atol=0)
+        assert_allclose(np.diag(factor.rows_mse(basis_rows(amplitudes, order), sigma2s)), maxima, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("order", range(2, 41))
@@ -740,19 +757,19 @@ def test_root_step_finds_an_interior_maximum_at_every_order(order):
     # amplitude differs from it by at most 4.4e-16 relative, and the grid's
     # best point lies within one spacing of the returned amplitude.
     grid = np.linspace(0.0, cap, 100_001)
-    on_grid = factor.mse(grid, sigma2s)
+    on_grid = factor.rows_mse(basis_rows(grid, order), sigma2s)
     assert (maxima >= on_grid.max(axis=0) * (1 - 1e-15)).all()
-    assert_allclose(np.diag(factor.mse(amplitudes, sigma2s)), maxima, rtol=1e-15, atol=0)
+    assert_allclose(np.diag(factor.rows_mse(basis_rows(amplitudes, order), sigma2s)), maxima, rtol=1e-15, atol=0)
     assert (np.abs(grid[on_grid.argmax(axis=0)] - amplitudes) <= grid[1]).all()
 
 
 def _interpolate_differentiate_max(phi, sigma2, prior, cap):
     """The maximum MSE through numpy's chebinterpolate and chebder, then chebroots."""
     cheb = np.polynomial.chebyshev
-    factor, half = _factor(phi, prior), 0.5 * cap
-    coef = cheb.chebinterpolate(lambda x: factor.mse(half * (x + 1.0), [sigma2])[:, 0], 2 * phi.shape[1])
+    factor, half, order = _factor(phi, prior), 0.5 * cap, phi.shape[1]
+    coef = cheb.chebinterpolate(lambda x: factor.rows_mse(basis_rows(half * (x + 1.0), order), [sigma2])[:, 0], 2 * order)
     critical = np.clip(cheb.chebroots(cheb.chebder(coef)).real, -1.0, 1.0)
-    return factor.mse(half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0), [sigma2]).max()
+    return factor.rows_mse(basis_rows(half * (np.concatenate([[-1.0, 1.0], critical]) + 1.0), order), [sigma2]).max()
 
 
 EQUIVALENCE_SIGMA2S = (1e-3, 0.1, 1.0)
@@ -922,7 +939,7 @@ def test_the_first_failing_noise_variance_decides_the_error():
     for sigma2s, error in (([1e-30, np.nan], RankDeficiencyError), ([np.nan, 1e-30], InvalidNoiseError)):
         for call in (
             lambda: max_prediction_mse(phi, np.array(sigma2s), prior),
-            lambda: factor.mse([0.0, 0.5, 1.0], sigma2s),
+            lambda: factor.rows_mse(basis_rows([0.0, 0.5, 1.0], 4), sigma2s),
         ):
             with pytest.raises(error):
                 call()
@@ -1082,7 +1099,7 @@ def test_max_prediction_mse_location_matches_a_dense_grid(order):
         factor = _factor(phi, prior)
         maxima, amplitudes = _MaxPlan(factor, cap).max_mse(EQUIVALENCE_SIGMA2S)
         grid = np.linspace(0.0, cap, points)
-        on_grid = factor.mse(grid, EQUIVALENCE_SIGMA2S)
+        on_grid = factor.rows_mse(basis_rows(grid, order), EQUIVALENCE_SIGMA2S)
         for j, sigma2 in enumerate(EQUIVALENCE_SIGMA2S):
             # The public MSE at the returned amplitude, within the round-off of
             # one MSE evaluation (2.6e-12 relative at L = 7 on [0, 2.5]).
@@ -1443,7 +1460,7 @@ def test_sigma2_sweep_matches_per_sigma2_curves(order, pilots, kind):
     prior = _sweep_prior(kind, order, rng)
     sigma2s = [snr_db_to_sigma2(snr_db, "per-symbol", n_pilots) for snr_db in DEFAULT_SNR_SWEEP_DB]
     grid = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
-    sweep = _factor(phi, prior).mse(grid, sigma2s).max(axis=0)
+    sweep = _factor(phi, prior).rows_mse(basis_rows(grid, order), sigma2s).max(axis=0)
     single = np.array([mse_curve(phi, grid, sigma2, prior).mse_values.max() for sigma2 in sigma2s])
     assert_allclose(sweep, single, rtol=1e-12 if order <= 8 else 1e-9, atol=0)
     assert [format(v, ".9g") for v in sweep] == [format(v, ".9g") for v in single]

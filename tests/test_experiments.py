@@ -105,6 +105,29 @@ def test_sampled_figure_maxima_stay_below_the_exact_maxima():
         assert _below_the_exact_maximum(table.column(column), design, sigma2s, priors.get(estimator)).all(), column
 
 
+# The relative gap (exact - sampled) / exact of fig2's uniform cells, L = 1..14.
+# At L = 1 and 2 the maximum sits at the cap, a grid point, so the gap is round-off.
+UNIFORM_SAMPLED_GAPS = (
+    0.0, 0.0, 8.33e-5, 9.58e-4, 7.90e-5, 3.71e-3, 9.02e-4, 2.32e-3, 2.19e-2, 1.58e-4, 1.79e-2, 3.29e-2, 5.46e-3, 8.70e-4
+)
+
+
+@pytest.mark.parametrize("order", range(1, 15))
+def test_sampled_maximum_gap_of_the_fig2_designs(order):
+    # fig2's designs, N = L at sigma2 = 1: the exact maximum against the one over
+    # FIGURE_MSE_SAMPLES equispaced amplitudes.  The optimal design has a support
+    # point at the cap, on the grid, so its gap is round-off (measured at most
+    # 4.5e-8, at L = 14).
+    grid = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
+    gaps = []
+    for pilots in (uniform_pilots(order), allocate_pilots(order, order)):
+        design = build_design_matrix(pilots, order)
+        exact = max_prediction_mse(design, 1.0)
+        gaps.append((exact - mse_curve(design, grid, 1.0).mse_values.max()) / exact)
+    assert gaps[0] == pytest.approx(UNIFORM_SAMPLED_GAPS[order - 1], rel=0.01, abs=1e-15)
+    assert abs(gaps[1]) < 1e-7
+
+
 def test_fig3_reference_values():
     table = run_fig3(seed=0)
     grid = table.column("amplitude")

@@ -31,6 +31,7 @@ from patrain import (
     uniform_pilots,
 )
 from patrain.estimators import _factor
+from patrain.pa_model import basis_rows
 
 DEGENERATE = RappDistribution(
     gain_variance=0.0, v_sat_variance=0.0, smoothness_variance=0.0
@@ -394,7 +395,7 @@ def test_fig4_columns_equal_the_per_mode_path(realizations):
         for suffix, mode in (("ls", None), ("lmmse_coh", "coherent"), ("lmmse_noncoh", "noncoherent")):
             config = PriorConfig(realizations, 7, mode=mode or "coherent", seed=11)
             prior = None if mode is None else build_prior(config, RappDistribution())
-            expected = _factor(design, prior).mse(grid, sigma2s).max(axis=0)
+            expected = _factor(design, prior).rows_mse(basis_rows(grid, 7), sigma2s).max(axis=0)
             assert np.array_equal(table.column(f"d_{allocation}_{suffix}"), expected)
 
 
