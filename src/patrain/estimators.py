@@ -203,9 +203,7 @@ class _Factor:
     ``T`` is the identity for LS and the prior root for LMMSE.  ``s`` is padded
     with zeros to the ``k`` columns of ``T`` and ``basis`` is ``T V``, so the
     factored system at noise variance ``sigma2`` has the singular values
-    ``sqrt(s^2 + rho sigma2)``, with ``rho`` 0 for LS and 1 for LMMSE.  A stack of
-    factors holds each array with a leading stack axis; only one factor takes
-    :meth:`covariance` and :meth:`update`.
+    ``sqrt(s^2 + rho sigma2)``, with ``rho`` 0 for LS and 1 for LMMSE.
     """
 
     u: np.ndarray
@@ -217,23 +215,21 @@ class _Factor:
         """Singular values of the factored system, one column per noise variance
         in ``sigma2s``, after each one's noise check and the one rank test,
         ``cond >= CONDITION_LIMIT`` without dividing by zero (a system with no
-        direction left passes).  The first ``sigma2`` that fails either raises,
-        in the first factor of a stack that fails.
+        direction left passes).  The first ``sigma2`` that fails either raises.
         """
         sigma2s = _noise_variances(sigma2s)
         # The comparisons are False for NaN, and the abs keeps the square root
         # quiet on a negative sigma2, which fails the noise check anyway.
         valid = (sigma2s >= _SMALLEST_NORMAL) & (sigma2s < math.inf)
-        if self.regularized:
-            sv = np.hypot(self.s[..., None], np.sqrt(np.abs(sigma2s)))
-        else:
-            sv = self.s[..., None].repeat(sigma2s.size, axis=-1)
+        # LS passes zeros, and hypot(s, 0) is s bit for bit.
+        noise = np.sqrt(np.abs(sigma2s)) if self.regularized else np.zeros(sigma2s.shape)
+        sv = np.hypot(self.s[:, None], noise)
         # s comes sorted in descending order, and so does every column of sv.
-        passed = valid & (sv[..., -1, :] * CONDITION_LIMIT > sv[..., 0, :]) if sv.shape[-2] else valid
+        passed = valid & (sv[-1] * CONDITION_LIMIT > sv[0]) if len(sv) else valid
         if not passed.all():
-            *stack, j = np.unravel_index(passed.argmin(), passed.shape)
+            j = passed.argmin()
             _require_noise_variance(float(sigma2s[j]))
-            top, bottom = float(sv[(*stack, 0, j)]), float(sv[(*stack, -1, j)])
+            top, bottom = float(sv[0, j]), float(sv[-1, j])
             raise RankDeficiencyError(
                 "the factored system is numerically rank deficient: condition number "
                 f"{top / bottom if bottom > 0 else math.inf:.3e} reaches CONDITION_LIMIT = {CONDITION_LIMIT:.0e}"
@@ -274,12 +270,12 @@ class _Factor:
                 values = self.energies(rows) @ self.weights(sigma2s)
             else:
                 self.singular_values(sigma2s)
-                energies, s = self.energies(rows), self.s[..., None, :]
-                unit = (energies / s / s).sum(axis=-1)
-                values = unit[..., None] * sigma2s
-                over = np.isinf(unit).nonzero()
-                if over[0].size:
-                    values[over] = (energies[over][:, None] @ self.weights(sigma2s)[over[:-1]])[:, 0]
+                energies = self.energies(rows)
+                unit = (energies / self.s / self.s).sum(axis=1)
+                values = unit[:, None] * sigma2s
+                over = np.isinf(unit)
+                if over.any():
+                    values[over] = energies[over] @ self.weights(sigma2s)
         return _require_finite_result(values, "prediction MSE")
 
 
@@ -298,17 +294,16 @@ def _factor(design: np.ndarray, prior: PriorStatistics | None = None, root: np.n
     root ``T``, by default the one the prior keeps (:class:`PriorStatistics`).  With
     more columns than pilots the full ``V`` is taken and ``s`` padded with zeros, so
     an LS system with too few pilots fails the one rank test,
-    :meth:`_Factor.singular_values`, with cond ``inf``.  ``design`` is checked
-    (:func:`_checked_design`), or a stack of checked designs along a leading axis,
-    whose factors each equal their design's own bit for bit.
+    :meth:`_Factor.singular_values`, with cond ``inf``.  ``design`` is a checked
+    matrix (:func:`_checked_design`).
     """
     root = prior._whiten if root is None and prior is not None else root
     whitened = design if root is None else design @ root
-    k = whitened.shape[-1]
-    u, s, vh = np.linalg.svd(whitened, full_matrices=design.shape[-2] < k)
-    basis = vh.conj().swapaxes(-1, -2)
-    if s.shape[-1] < k:
-        s = np.concatenate([s, np.zeros((*s.shape[:-1], k - s.shape[-1]))], axis=-1)
+    k = whitened.shape[1]
+    u, s, vh = np.linalg.svd(whitened, full_matrices=design.shape[0] < k)
+    basis = vh.conj().T
+    if s.size < k:
+        s = np.concatenate([s, np.zeros(k - s.size)])
     return _Factor(u, s, basis if root is None else root @ basis, root is not None)
 
 

@@ -149,19 +149,18 @@ def run_fig4(
     """Maximal prediction MSE against SNR for every estimator and allocation."""
     # The designs come first, so a bad pilot count fails before the prior fits.
     pilots = (uniform_pilots(n_pilots), allocate_pilots(order, n_pilots))
-    designs = np.stack([build_design_matrix(sequence, order) for sequence in pilots])
+    designs = [build_design_matrix(sequence, order) for sequence in pilots]
     grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
     dist = RappDistribution()
     # One set of fits and one second moment serve both modes; each prior equals build_prior's.
     moments = fit_moments(fit_realizations(PriorConfig(realizations, order, grid, COHERENT, seed), dist))
     priors = [prior_from_moments(*moments, mode) for mode in (COHERENT, NONCOHERENT)]
-    # One factor of the stacked (uniform, optimal) designs per prior serves
-    # every SNR point of the sweep, and all three share the prediction rows.
+    # One factor per (prior, design), LS first and uniform first, serves the whole
+    # sweep on shared rows; the first to fail the rank or noise check raises.
     sigma2s = np.array([snr_db_to_sigma2(snr_db, convention, n_pilots) for snr_db in snr_db_list], dtype=float)
     rows = basis_rows(np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES), order).astype(complex)
-    maxima = [_factor(designs, prior).rows_mse(rows, sigma2s).max(axis=-2) for prior in (None, *priors)]
-    columns = [per_prior[allocation] for allocation in (0, 1) for per_prior in maxima]
-    return CsvTable(FIG4_COLUMNS, np.column_stack([snr_db_list, *columns]))
+    maxima = [_factor(phi, prior).rows_mse(rows, sigma2s).max(axis=0) for prior in (None, *priors) for phi in designs]
+    return CsvTable(FIG4_COLUMNS, np.column_stack([snr_db_list, *maxima[0::2], *maxima[1::2]]))
 
 
 def design_table(

@@ -18,7 +18,8 @@ from .errors import InvalidInputError
 # Condition number above which a matrix is treated as numerically singular.
 CONDITION_LIMIT = 1e12
 
-# Slack allowed when checking pilot amplitudes against the power cap.
+# Relative slack of the power cap check, since |a e^(i phi)| can round an ulp above
+# a; dividing the amplitude by 1 plus it keeps a cap near the float maximum finite.
 AMPLITUDE_TOLERANCE = 1e-12
 
 
@@ -65,7 +66,7 @@ class PilotSequence:
             raise InvalidInputError("symbols must be a vector")
         if not 0 < self.max_amplitude < np.inf:
             raise InvalidInputError("max_amplitude must be positive and finite")
-        if symbols.size and np.abs(symbols).max() > self.max_amplitude + AMPLITUDE_TOLERANCE:
+        if symbols.size and np.abs(symbols).max() / (1 + AMPLITUDE_TOLERANCE) > self.max_amplitude:
             raise InvalidInputError("pilot amplitude exceeds max_amplitude")
         object.__setattr__(self, "symbols", symbols)
 

@@ -194,7 +194,7 @@ def test_design_rejects_a_nonfinite_or_nonpositive_cap(allocation, cap, capsys):
     assert "max amplitude" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("snr_list", ["nan", "0,inf", "0,-inf"])
+@pytest.mark.parametrize("snr_list", ["nan", "0,inf", "0,-inf", "abc"])
 def test_fig4_rejects_nonfinite_snr(snr_list):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["fig4", "--snr-db-list", snr_list])
@@ -267,6 +267,28 @@ def _estimate_with_prior(paths):
 def test_estimate_with_valid_prior_succeeds(tmp_path, capsys):
     assert _estimate_with_prior(_write_estimate_inputs(tmp_path)) == 0
     assert capsys.readouterr().out.startswith("index,beta_re,beta_im")
+
+
+def test_estimate_accepts_a_pilot_that_rounds_an_ulp_above_its_file_cap(tmp_path, capsys):
+    # The file's cap is its largest amplitude, 32767, and amp e^(i phase) rounds
+    # one ulp above it at this phase.
+    paths = _write_estimate_inputs(tmp_path)
+    paths["pilots"].write_text("index,amp,phase\n0,10922.333333333334,0\n1,32767.0,0.0006280314015700785\n")
+    paths["obs"].write_text("index,re,im\n0,1,0\n1,2,0\n")
+    assert cli.main(["estimate", str(paths["pilots"]), str(paths["obs"]), "--order", "1", "--sigma2", "1"]) == 0
+    assert capsys.readouterr().out.startswith("index,beta_re,beta_im")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [("0,-0.5,0\n1,1,0\n", "negative amplitude"), ("0,0,0\n1,0,1\n", "all amplitudes are zero")],
+    ids=["negative", "all-zero"],
+)
+def test_estimate_rejects_pilot_amplitudes_outside_the_domain(tmp_path, capsys, rows, message):
+    paths = _write_estimate_inputs(tmp_path)
+    paths["pilots"].write_text("index,amp,phase\n" + rows)
+    assert _estimate_with_prior(paths) == 4
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["pilots", "obs", "mean", "cov"])
@@ -385,8 +407,7 @@ def test_fig4_beyond_the_monomial_order_range_is_numerical_error(capsys):
 
 
 def test_fig4_rank_failure_names_the_uniform_ls_factor(capsys):
-    # fig4 factors both allocations as one stack per prior; the first factor
-    # that fails is still the uniform LS one, so the message names its cond.
+    # fig4 factors the uniform LS design first, so the message names its cond.
     assert cli.main(["fig4", "--order", "15", "--pilots", "15"]) == 3
     assert "condition number 2.703e+12 reaches CONDITION_LIMIT" in capsys.readouterr().err
 
@@ -419,7 +440,14 @@ def test_every_package_error_has_an_exit_code(error, monkeypatch, capsys):
 @pytest.mark.parametrize("target", ["pilots", "obs", "mean", "cov"])
 @pytest.mark.parametrize(
     "fault, message",
-    [("header", "header"), ("ragged", "columns"), ("binary", "decode"), ("huge-cell", "field limit")],
+    [
+        ("header", "header"),
+        ("ragged", "columns"),
+        ("binary", "decode"),
+        ("huge-cell", "field limit"),
+        ("no-rows", "no data rows"),
+        ("text-cell", "non-numeric cell"),
+    ],
 )
 def test_estimate_rejects_a_malformed_line_in_any_csv(tmp_path, capsys, target, fault, message):
     paths = _write_estimate_inputs(tmp_path)
@@ -430,6 +458,10 @@ def test_estimate_rejects_a_malformed_line_in_any_csv(tmp_path, capsys, target, 
         lines[2] = lines[2][: lines[2].rindex(",")]
     elif fault == "huge-cell":
         lines[2] = "0" * 200_000 + lines[2]
+    elif fault == "no-rows":
+        lines = lines[:1]
+    elif fault == "text-cell":
+        lines[2] = lines[2][: lines[2].rindex(",") + 1] + "x"
     text = "\n".join(lines) + "\n"
     paths[target].write_bytes(b"\xff" + text.encode() if fault == "binary" else text.encode())
     assert _estimate_with_prior(paths) == 4

@@ -292,6 +292,20 @@ def test_lmmse_dimension_mismatch():
         lmmse_estimate(phi, np.zeros(3, dtype=complex), 1.0, prior)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PriorStatistics(np.zeros(3), np.eye(2)),
+        lambda: MseCurve([0.0, 1.0], [1.0]),
+        lambda: prediction_covariance(build_design_matrix(allocate_pilots(3, 3), 3), np.ones((1, 2)), 1.0),
+    ],
+    ids=["prior-covariance", "mse-curve", "prediction-rows"],
+)
+def test_arrays_of_unequal_sizes_are_dimension_errors(call):
+    with pytest.raises(DimensionMismatchError):
+        call()
+
+
 # ----------------------------------------------------------------- prediction
 
 
@@ -513,10 +527,13 @@ def test_an_ls_mse_whose_noise_free_sum_overflows_is_returned():
     assert mse_curve(phi, [0.5, 6e76], 1e-300).mse_values[0] == mse_curve(phi, [0.5], 1e-300).mse_values[0]
     with pytest.raises(InvalidNoiseError, match="overflow"):
         mse_curve(phi, [6e76], 1.0)
-    # In a stack only the second factor's sum overflows, and its row takes that factor's weights.
-    rows, sigma2s = basis_rows([0.5, 6e76], 2).astype(complex), [1e-300, 1e-299]
-    singles = [_factor(design).rows_mse(rows, sigma2s) for design in (2 * phi, phi)]
-    assert np.array_equal(_factor(np.stack([2 * phi, phi])).rows_mse(rows, sigma2s), singles)
+    # In a sweep the finite row keeps the bits of its own call, and the
+    # overflowing one takes the weights of every sigma2.
+    factor, sigma2s = _factor(phi), [1e-300, 1e-299]
+    values = factor.rows_mse(basis_rows([0.5, 6e76], 2).astype(complex), sigma2s)
+    for j, sigma2 in enumerate(sigma2s):
+        assert values[0, j] == factor.rows_mse(basis_rows([0.5], 2).astype(complex), [sigma2])[0, 0]
+        assert values[1, j] == pytest.approx(max_prediction_mse(phi, sigma2, max_amplitude=6e76), rel=1e-14)
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1e3])
@@ -1464,56 +1481,6 @@ def test_sigma2_sweep_matches_per_sigma2_curves(order, pilots, kind):
     single = np.array([mse_curve(phi, grid, sigma2, prior).mse_values.max() for sigma2 in sigma2s])
     assert_allclose(sweep, single, rtol=1e-12 if order <= 8 else 1e-9, atol=0)
     assert [format(v, ".9g") for v in sweep] == [format(v, ".9g") for v in single]
-
-
-def _failure(call):
-    """The class and message of the error ``call`` raises, or ``None``."""
-    try:
-        call()
-    except (RankDeficiencyError, InvalidNoiseError) as error:
-        return type(error), str(error)
-    return None
-
-
-@pytest.mark.parametrize("kind", ["none", "full", "rank-deficient", "zero"])
-@pytest.mark.parametrize("order", range(1, 13))
-def test_stacked_factor_equals_each_designs_factor_bit_for_bit(order, kind):
-    # fig4 factors its (uniform, optimal) designs as one stack per prior: each
-    # factor of the stack, and its MSE sweep, is the design's own.
-    rng = np.random.default_rng(100 + order)
-    prior = _sweep_prior(kind, order, rng)
-    sigma2s = np.array([snr_db_to_sigma2(snr_db, "per-symbol", 1) for snr_db in DEFAULT_SNR_SWEEP_DB])
-    rows = basis_rows(np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES), order).astype(complex)
-    for n_pilots in (order - 1, order, 2 * order):
-        symbols = rng.uniform(0.05, 1.0, n_pilots) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_pilots))
-        uniform = np.arange(1, n_pilots + 1) / max(n_pilots, 1) + 0j
-        designs = np.stack([basis_rows(uniform, order), basis_rows(symbols, order)])
-        stacked = _factor(designs, prior)
-        failures = [_failure(lambda: _factor(design, prior).rows_mse(rows, sigma2s)) for design in designs]
-        assert _failure(lambda: stacked.rows_mse(rows, sigma2s)) == next(filter(None, failures), None)
-        for index, design in enumerate(designs):
-            single = _factor(design, prior)
-            for name in ("u", "s", "basis"):
-                assert np.array_equal(getattr(stacked, name)[index], getattr(single, name)), (n_pilots, name)
-            if not any(failures):
-                assert np.array_equal(stacked.rows_mse(rows, sigma2s)[index], single.rows_mse(rows, sigma2s))
-
-
-@pytest.mark.parametrize("sigma2s", [[1.0], [1.0, np.nan], [np.nan, 1.0], [1.0, 1e-320]])
-@pytest.mark.parametrize("kind", ["none", "full"])
-def test_a_stack_fails_as_its_factors_do_one_by_one(kind, sigma2s):
-    # The stack raises what a loop over its designs in order raises first: the
-    # first failing factor decides, at its first failing sigma2.
-    prior = _sweep_prior(kind, 4, np.random.default_rng(5))
-    designs = np.stack(
-        [build_design_matrix(allocate_pilots(4, 4), 4)]
-        + [basis_rows(np.array(amplitudes), 4) + 0j for amplitudes in ([0.5, 0.5, 1.0, 1.0], [0.2, 0.2, 0.2, 1.0])]
-    )
-    rows = basis_rows(np.linspace(0.0, 1.0, 11), 4).astype(complex)
-    loop = [_failure(lambda: _factor(design, prior).rows_mse(rows, sigma2s)) for design in designs]
-    expected = next((failure for failure in loop if failure), None)
-    assert _failure(lambda: _factor(designs, prior).rows_mse(rows, sigma2s)) == expected
-    assert _failure(lambda: _factor(designs[1:], prior).rows_mse(rows, sigma2s)) == loop[1]
 
 
 @pytest.mark.parametrize(

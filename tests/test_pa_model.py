@@ -162,8 +162,13 @@ def test_rapp_parameters_must_be_positive():
 
 def test_pilot_sequence_enforces_amplitude_cap():
     PilotSequence([0.5, 1.0], max_amplitude=1.0)
+    # The slack is relative: an amplitude one ulp above a large cap passes,
+    # and one far above a tiny cap fails.
+    PilotSequence([np.nextafter(32767.0, np.inf)], max_amplitude=32767.0)
     with pytest.raises(ValueError):
         PilotSequence([0.5, 1.1], max_amplitude=1.0)
+    with pytest.raises(ValueError, match="exceeds max_amplitude"):
+        PilotSequence([1e-13], max_amplitude=1e-160)
     for cap in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="max_amplitude"):
             PilotSequence([0.5, 1.0], max_amplitude=cap)

@@ -55,6 +55,9 @@ def test_default_fit_grid_takes_the_step_asked_for():
     for bounds in ((1.0, 0.3), (0.1, 0.25), (1.5, 0.0626)):
         with pytest.raises(InvalidInputError, match="whole number of steps"):
             default_fit_grid(*bounds)
+    # A point count past the float range is refused before it is rounded.
+    with pytest.raises(InvalidInputError, match="too many points"):
+        default_fit_grid(1e308, 1e-10)
 
 
 def test_fit_grid_counts_distinct_positive_points():
@@ -236,6 +239,15 @@ def test_prior_mean_csv_checks_the_index_column(tmp_path):
     save_prior(PriorStatistics(np.zeros(2), np.eye(2, dtype=complex)), mean_path, cov_path)
     mean_path.write_text("index,re,im\n1,0,0\n0,0,0\n")
     with pytest.raises(CsvFormatError, match="index"):
+        load_prior(mean_path, cov_path)
+
+
+def test_prior_covariance_csv_has_one_row_per_mean_entry(tmp_path):
+    mean_path = tmp_path / "prior_mean.csv"
+    cov_path = tmp_path / "prior_cov.csv"
+    save_prior(PriorStatistics(np.zeros(2), np.eye(2, dtype=complex)), mean_path, cov_path)
+    cov_path.write_text("re_0,im_0,re_1,im_1\n1,0,0,0\n")
+    with pytest.raises(CsvFormatError, match="row count must match the mean length"):
         load_prior(mean_path, cov_path)
 
 
