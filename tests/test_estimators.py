@@ -1483,6 +1483,62 @@ def test_sigma2_sweep_matches_per_sigma2_curves(order, pilots, kind):
     assert [format(v, ".9g") for v in sweep] == [format(v, ".9g") for v in single]
 
 
+def _failure(call):
+    """The class and message of the error ``call`` raises, or ``None``."""
+    try:
+        call()
+    except (RankDeficiencyError, InvalidNoiseError) as error:
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["none", "full", "rank-deficient", "zero"])
+@pytest.mark.parametrize("order", range(1, 13))
+def test_a_factors_sweep_is_its_sigma2s_one_by_one_bit_for_bit(order, kind):
+    # fig4 factors each (design, prior) pair once for its whole SNR sweep: the
+    # sweep's singular values are each sigma2's own, LS ones are s itself, and
+    # the sweep fails as the first sigma2 that fails alone.
+    rng = np.random.default_rng(100 + order)
+    prior = _sweep_prior(kind, order, rng)
+    sigma2s = np.array([snr_db_to_sigma2(snr_db, "per-symbol", 1) for snr_db in DEFAULT_SNR_SWEEP_DB])
+    rows = basis_rows(np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES), order).astype(complex)
+    for n_pilots in (order - 1, order, 2 * order):
+        symbols = rng.uniform(0.05, 1.0, n_pilots) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_pilots))
+        uniform = np.arange(1, n_pilots + 1) / max(n_pilots, 1) + 0j
+        for design in (basis_rows(uniform, order), basis_rows(symbols, order)):
+            factor = _factor(design, prior)
+            alone = [_failure(lambda: factor.singular_values([sigma2])) for sigma2 in sigma2s]
+            expected = next(filter(None, alone), None)
+            assert _failure(lambda: factor.singular_values(sigma2s)) == expected, n_pilots
+            assert _failure(lambda: factor.rows_mse(rows, sigma2s)) == expected, n_pilots
+            if expected is None:
+                sv = factor.singular_values(sigma2s)
+                for j, sigma2 in enumerate(sigma2s):
+                    assert np.array_equal(sv[:, j], factor.singular_values([sigma2])[:, 0]), (n_pilots, j)
+                if prior is None:
+                    assert np.array_equal(sv, np.repeat(factor.s[:, None], sigma2s.size, axis=1)), n_pilots
+
+
+@pytest.mark.parametrize("sigma2s", [[1.0], [1.0, np.nan], [np.nan, 1.0], [1.0, 1e-320]])
+@pytest.mark.parametrize("kind", ["none", "full"])
+def test_a_sweep_fails_as_its_sigma2s_do_one_by_one(kind, sigma2s):
+    # The first failing sigma2 decides, whether it fails the noise check or the
+    # rank test; a design that passes at every sigma2 only meets the noise check.
+    prior = _sweep_prior(kind, 4, np.random.default_rng(5))
+    designs = [build_design_matrix(allocate_pilots(4, 4), 4)] + [
+        basis_rows(np.array(amplitudes), 4) + 0j for amplitudes in ([0.5, 0.5, 1.0, 1.0], [0.2, 0.2, 0.2, 1.0])
+    ]
+    rows = basis_rows(np.linspace(0.0, 1.0, 11), 4).astype(complex)
+    for index, design in enumerate(designs):
+        factor = _factor(design, prior)
+        loop = [_failure(lambda: factor.rows_mse(rows, [sigma2])) for sigma2 in sigma2s]
+        expected = next((failure for failure in loop if failure), None)
+        assert _failure(lambda: factor.rows_mse(rows, sigma2s)) == expected, index
+    # The optimal allocation passes the rank test, so only a bad sigma2 fails it.
+    failure = _failure(lambda: _factor(designs[0], prior).rows_mse(rows, sigma2s))
+    assert (failure is None) == (len(sigma2s) == 1)
+
+
 @pytest.mark.parametrize(
     "call",
     [
