@@ -74,9 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig3 = sub.add_parser("fig3", help="random Rapp response statistics and fit")
     add_common(p_fig3, order=7)
-    p_fig3.add_argument("--realizations", type=int, default=100)
-    p_fig3.add_argument("--seed", type=int, default=0)
-    _add_grid_flags(p_fig3)
+    _add_prior_flags(p_fig3)
     p_fig3.set_defaults(func=_cmd_fig3)
 
     p_fig4 = sub.add_parser("fig4", help="maximal MSE against SNR for all estimators")
@@ -92,9 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[experiments.PER_SYMBOL, experiments.TOTAL],
         default=experiments.PER_SYMBOL,
     )
-    p_fig4.add_argument("--realizations", type=int, default=100)
-    p_fig4.add_argument("--seed", type=int, default=0)
-    _add_grid_flags(p_fig4)
+    _add_prior_flags(p_fig4)
     p_fig4.set_defaults(func=_cmd_fig4)
 
     p_design = sub.add_parser("design", help="emit a pilot sequence")
@@ -119,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_grid_flags(p) -> None:
+def _add_prior_flags(p) -> None:
+    """The Rapp-prior flags fig3 and fig4 share: realization count, seed and fit grid."""
+    p.add_argument("--realizations", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fit-grid-max", type=float, default=1.5, help="fit grid upper end")
     p.add_argument(
         "--fit-grid-step", type=float, default=0.0625, help="fit grid spacing; must divide --fit-grid-max"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, PilotAllocationError, RankDeficiencyError
+from .errors import ConvergenceError, PilotAllocationError, RankDeficiencyError
 from .estimators import _checked_design, _factor, _Factor, _seeded_rng
 from .pa_model import PilotSequence, _require_integer, build_design_matrix
 
@@ -42,8 +42,7 @@ def legendre_derivative_roots(order: int) -> np.ndarray:
     ``k = 1..L-2`` (Golub & Welsch, 1969).  Averaging each root with its
     mirror makes the pairs exactly symmetric and the middle root exactly 0.
     """
-    if _require_integer(order, "order") < 1:
-        raise InvalidInputError("order must be >= 1")
+    _require_integer(order, "order", 1)
     k = np.arange(1, order - 1)
     off_diagonal = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
     jacobi = np.zeros((order - 1, order - 1))
@@ -64,9 +63,8 @@ def optimal_support_points(order: int) -> np.ndarray:
 
 def _multiplicity(order: int, n_pilots: int) -> int:
     """Pilots per support point when ``n_pilots`` are split evenly across ``order`` points."""
-    if _require_integer(order, "order") < 1:
-        raise InvalidInputError("order must be >= 1")
-    if _require_integer(n_pilots, "pilot count") < 1 or n_pilots % order != 0:
+    _require_integer(order, "order", 1)
+    if _require_integer(n_pilots, "pilot count") % order or n_pilots < 1:
         raise PilotAllocationError(
             f"pilot count {n_pilots} must be a positive multiple of the order {order}"
         )
@@ -85,8 +83,7 @@ def allocate_pilots(order: int, n_pilots: int, max_amplitude: float = 1.0) -> Pi
 
 def uniform_pilots(n_pilots: int, max_amplitude: float = 1.0) -> PilotSequence:
     """Baseline allocation with amplitudes ``(1/N, 2/N, ..., 1) * max_amplitude``."""
-    if _require_integer(n_pilots, "n_pilots") < 1:
-        raise InvalidInputError("n_pilots must be >= 1")
+    _require_integer(n_pilots, "n_pilots", 1)
     amplitudes = np.arange(1, n_pilots + 1) / n_pilots * max_amplitude
     return PilotSequence(amplitudes.astype(complex), max_amplitude)
 
@@ -159,8 +156,7 @@ def exchange_search_verify(
     :class:`ConvergenceError` when ``EXCHANGE_MAX_SWEEPS`` sweeps all moved a
     pilot.
     """
-    if _require_integer(grid_resolution, "grid_resolution") < 100:
-        raise InvalidInputError("grid_resolution must be >= 100")
+    _require_integer(grid_resolution, "grid_resolution", 100)
     _multiplicity(order, n_pilots)  # validates the multiplicity up front
     rng = _seeded_rng(seed)
     grid, basis = _grid_rows(order, grid_resolution)

@@ -54,10 +54,11 @@ from .errors import (
     InvalidInputError,
     InvalidNoiseError,
     InvalidPriorError,
-    NonFiniteInputError,
     RankDeficiencyError,
 )
-from .pa_model import CONDITION_LIMIT, PaPolynomial, PilotSequence, _require_integer, basis_rows, eval_polynomial
+from .pa_model import (
+    CONDITION_LIMIT, PaPolynomial, PilotSequence, _require_finite, _require_integer, basis_rows, eval_polynomial
+)
 
 # Prior directions whose eigenvalue is at or below this fraction of the mean
 # prior eigenvalue are treated as known exactly and dropped from the whitening.
@@ -85,13 +86,6 @@ def _noise_variances(sigma2s) -> np.ndarray:
     return sigma2s.astype(float, copy=False)
 
 
-def _require_finite(values: np.ndarray, label: str) -> np.ndarray:
-    values = np.asarray(values, dtype=complex)
-    if not np.isfinite(values).all():
-        raise NonFiniteInputError(f"{label} holds NaN or infinite entries")
-    return values
-
-
 def _require_finite_result(values: np.ndarray, label: str) -> np.ndarray:
     """``values`` unless a noise variance or amplitude too large for the design overflowed them."""
     if not np.isfinite(values).all():
@@ -99,15 +93,9 @@ def _require_finite_result(values: np.ndarray, label: str) -> np.ndarray:
     return values
 
 
-def _require_seed(seed: int) -> None:
-    if _require_integer(seed, "seed") < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-
-
 def _seeded_rng(seed: int) -> "np.random.Generator":
     """The random stream of ``seed``; a negative seed raises :class:`InvalidInputError`."""
-    _require_seed(seed)
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_require_integer(seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -119,7 +107,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         _require_noise_variance(self.variance)
-        _require_seed(self.seed)
+        _require_integer(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,9 +301,8 @@ def _scale_free_factor(design: np.ndarray, prior: PriorStatistics | None) -> tup
     (1 if all are 0), if ``design`` passes :func:`_checked_design`, has a column and its columns are
     ``s |s|^(l-1)`` of the first within 1e-12 of its largest entry; the rows of ``a`` are those of ``a / c``."""
     design = _checked_design(design, prior)
-    if design.shape[1] < 1:
-        raise InvalidInputError("order must be >= 1")
-    pilots, order = design[:, 0], design.shape[1]
+    order = _require_integer(design.shape[1], "order", 1)
+    pilots = design[:, 0]
     rows = basis_rows(pilots, order)
     # A design built by basis_rows matches these rows exactly, so the largest
     # entry is read only when they differ.
@@ -397,9 +384,7 @@ def mse_curve(
     prior: PriorStatistics | None = None,
 ) -> MseCurve:
     """Prediction MSE sampled on a grid of finite nonnegative amplitudes."""
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    if not np.isfinite(amplitudes).all():
-        raise NonFiniteInputError("amplitudes hold NaN or infinite entries")
+    amplitudes = _require_finite(amplitudes, "amplitude grid", float)
     if (amplitudes < 0).any():
         raise InvalidInputError("amplitudes must be nonnegative")
     factor, scale = _scale_free_factor(design, prior)

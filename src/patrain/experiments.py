@@ -16,7 +16,7 @@ from .estimators import (
     lmmse_estimate,
     mse_curve,
 )
-from .pa_model import PilotSequence, RappParameters, basis_rows, build_design_matrix, rapp_response
+from .pa_model import PilotSequence, RappParameters, _require_integer, basis_rows, build_design_matrix, rapp_response
 # perfbench's tracer wraps build_prior, draw_rapp_params and CsvTable here, so
 # they stay importable from this module.
 from .prior import (
@@ -88,6 +88,7 @@ def run_fig1(order: int = 5, n_pilots: int = 5, sigma2: float = 1.0) -> CsvTable
 
 def run_fig2(max_order: int = 8) -> CsvTable:
     """Maximal-MSE gain of the optimal over the uniform allocation for N = L."""
+    _require_integer(max_order, "max_order", 1)
     grid = np.linspace(0.0, 1.0, FIGURE_MSE_SAMPLES)
     rows = []
     for order in range(1, max_order + 1):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NonFiniteInputError
 
 # Condition number above which a matrix is treated as numerically singular.
 CONDITION_LIMIT = 1e12
@@ -23,13 +23,25 @@ CONDITION_LIMIT = 1e12
 AMPLITUDE_TOLERANCE = 1e-12
 
 
-def _require_integer(value, label: str) -> int:
-    """``value`` as an ``int`` if it is an integer of any kind; a float, even a whole one, raises
-    :class:`InvalidInputError` instead of being truncated or failing inside numpy."""
+def _require_integer(value, label: str, minimum: int | None = None) -> int:
+    """``value`` as an ``int`` if it is an integer of any kind, at least ``minimum`` if one is given;
+    a float, even a whole one, raises :class:`InvalidInputError` instead of being truncated or
+    failing inside numpy, and so does a value below ``minimum``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{label} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise InvalidInputError(f"{label} must be >= {minimum}, got {value}")
+    return value
+
+
+def _require_finite(values, label: str, dtype=complex) -> np.ndarray:
+    """``values`` as an array of ``dtype``; a NaN or infinite entry raises :class:`NonFiniteInputError`."""
+    values = np.asarray(values, dtype=dtype)
+    if not np.isfinite(values).all():
+        raise NonFiniteInputError(f"{label} holds NaN or infinite entries")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +55,7 @@ class PaPolynomial:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        coef = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
+        coef = np.atleast_1d(_require_finite(self.coefficients, "coefficients"))
         if coef.ndim != 1 or coef.size < 1:
             raise InvalidInputError("coefficients must be a nonempty vector")
         object.__setattr__(self, "coefficients", coef)
@@ -61,7 +73,7 @@ class PilotSequence:
     max_amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        symbols = np.atleast_1d(np.asarray(self.symbols, dtype=complex))
+        symbols = np.atleast_1d(_require_finite(self.symbols, "symbols"))
         if symbols.ndim != 1:
             raise InvalidInputError("symbols must be a vector")
         if not 0 < self.max_amplitude < np.inf:
@@ -86,8 +98,8 @@ class RappParameters:
     smoothness: float = 2.0
 
     def __post_init__(self) -> None:
-        if not (self.gain > 0 and self.v_sat > 0 and self.smoothness > 0):
-            raise InvalidInputError("all Rapp parameters must be strictly positive")
+        if not all(0 < value < np.inf for value in (self.gain, self.v_sat, self.smoothness)):
+            raise InvalidInputError("all Rapp parameters must be strictly positive and finite")
 
 
 def eval_polynomial(model: PaPolynomial, s):
@@ -100,8 +112,7 @@ def eval_polynomial(model: PaPolynomial, s):
 
 def basis_rows(s, order: int) -> np.ndarray:
     """Basis rows ``(s, s|s|, ..., s|s|^(order-1))``, one per entry of real or complex ``s``."""
-    if _require_integer(order, "order") < 1:
-        raise InvalidInputError("order must be >= 1")
+    _require_integer(order, "order", 1)
     s = np.asarray(s)[..., None]
     # Float powers: an integer exponent array would be cast to float on every call.
     return s * np.abs(s) ** np.arange(order, dtype=float)

@@ -20,15 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CsvFormatError,
-    DimensionMismatchError,
-    InvalidInputError,
-    NonFiniteInputError,
-    RankDeficiencyError,
-)
+from .errors import CsvFormatError, DimensionMismatchError, InvalidInputError, RankDeficiencyError
 from .estimators import PriorStatistics, _seeded_rng
-from .pa_model import PaPolynomial, RappParameters, _require_integer, basis_rows, rapp_am_am, rapp_response
+from .pa_model import (
+    PaPolynomial, RappParameters, _require_finite, _require_integer, basis_rows, rapp_am_am, rapp_response
+)
 
 COHERENT = "coherent"
 NONCOHERENT = "noncoherent"
@@ -101,8 +97,7 @@ class PriorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if _require_integer(self.realizations, "realizations") < 1:
-            raise InvalidInputError("realizations must be >= 1")
+        _require_integer(self.realizations, "realizations", 1)
         if self.mode not in (COHERENT, NONCOHERENT):
             raise InvalidInputError(f"unknown prior mode: {self.mode!r}")
         grid = np.asarray(self.fit_grid, dtype=float)
@@ -146,8 +141,7 @@ def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count
     for them, bit for bit.  Each block is evaluated grid-major, so the
     realizations run along the long inner axis, and yielded column-major.
     """
-    if count < 1:
-        raise InvalidInputError(f"realization count must be >= 1, got {count}")
+    _require_integer(count, "realization count", 1)
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0):
         raise InvalidInputError("amplitude must be nonnegative")
@@ -160,10 +154,8 @@ def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count
 
 def _check_fit_grid(grid: np.ndarray, order: int) -> None:
     """Reject an order below 1, a non-finite grid, and a grid on which the fit is rank deficient."""
-    if _require_integer(order, "fit order") < 1:
-        raise InvalidInputError("fit order must be >= 1")
-    if not np.all(np.isfinite(grid)):
-        raise NonFiniteInputError("fit grid must be finite")
+    _require_integer(order, "fit order", 1)
+    _require_finite(grid, "fit grid", float)
     # Distinct points counted from a sorted copy: np.unique would import numpy.ma.
     positive = np.sort(grid[grid > 0])
     if np.count_nonzero(np.diff(positive) > 0) + (positive.size > 0) < order:

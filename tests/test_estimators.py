@@ -36,7 +36,9 @@ from patrain import (
     uniform_pilots,
 )
 from patrain.estimators import _factor, _max_plan, _MaxPlan, _node_plan, _NodePlan
-from patrain.experiments import DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig1, run_fig3, snr_db_to_sigma2
+from patrain.experiments import (
+    DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig1, run_fig2, run_fig3, snr_db_to_sigma2
+)
 from patrain.pa_model import basis_rows
 from patrain.prior import (
     PriorConfig,
@@ -1410,6 +1412,8 @@ NON_INTEGER_COUNT_CALLS = {
     "prior-seed": lambda: build_prior(PriorConfig(10, 3, seed=1.5), RappDistribution()),
     "noise-seed": lambda: NoiseModel(0.1, seed=1.5),
     "fig3-seed": lambda: run_fig3(seed=1.5),
+    "fig3-realizations": lambda: run_fig3(realizations=2.5),
+    "fig2-order": lambda: run_fig2(2.5),
 }
 
 

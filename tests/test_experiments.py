@@ -37,6 +37,7 @@ from patrain.experiments import (
     run_fig4,
     snr_db_to_sigma2,
 )
+from patrain.pa_model import basis_rows
 from patrain.prior import COHERENT, NONCOHERENT, PriorConfig, RappDistribution, build_prior, default_fit_grid
 from test_prior import _EDGE_PARTS
 
@@ -165,6 +166,23 @@ def test_fig4_lmmse_never_worse_than_ls():
         ls = table.column(f"d_{allocation}_ls")
         for estimator in ("lmmse_coh", "lmmse_noncoh"):
             assert np.all(table.column(f"d_{allocation}_{estimator}") <= ls + 1e-10)
+
+
+def test_fig4_coherent_cells_at_0db_sit_just_below_the_prior_only_maximum():
+    # With no pilots the LMMSE error covariance is the prior's, so the maximum
+    # is that of f(a)^H C f(a) over [0, 1], checked on 100,001 points.  At 0 dB
+    # the 7 pilots of default fig4 lower it by under 2 % for either allocation.
+    rows = basis_rows(np.linspace(0.0, 1.0, 100_001), 7)
+    prior_only = {}
+    for mode in (COHERENT, NONCOHERENT):
+        prior = build_prior(PriorConfig(100, 7, seed=0, mode=mode), RappDistribution())
+        prior_only[mode] = max_prediction_mse(np.zeros((0, 7)), 1.0, prior)
+        dense = np.einsum("ij,jk,ik->i", rows.conj(), prior.covariance, rows).real.max()
+        assert prior_only[mode] == pytest.approx(dense, rel=1e-9, abs=0), mode
+    table = run_fig4()
+    at_0db = table.rows[table.column("snr_db") == 0.0][0]
+    for column in ("d_uniform_lmmse_coh", "d_optimal_lmmse_coh"):
+        assert 0.98 * prior_only[COHERENT] < at_0db[table.header.index(column)] <= prior_only[COHERENT], column
 
 
 def test_fig4_total_convention_scales_ls_columns():

@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from patrain import (
+    InvalidInputError,
+    NonFiniteInputError,
     PaPolynomial,
     PilotSequence,
     PriorStatistics,
@@ -158,6 +160,11 @@ def test_rapp_rejects_negative_amplitude():
 def test_rapp_parameters_must_be_positive():
     with pytest.raises(ValueError):
         RappParameters(gain=0.0)
+    # An infinite parameter used to give NaN fits, or 2.0 for the Rapp response
+    # at a = 2 with infinite smoothness, whose limit is 1.0.
+    for params in ({"gain": np.inf}, {"v_sat": np.inf}, {"smoothness": np.inf}, {"gain": np.nan}):
+        with pytest.raises(InvalidInputError, match="strictly positive"):
+            RappParameters(**params)
 
 
 def test_pilot_sequence_enforces_amplitude_cap():
@@ -172,8 +179,18 @@ def test_pilot_sequence_enforces_amplitude_cap():
     for cap in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="max_amplitude"):
             PilotSequence([0.5, 1.0], max_amplitude=cap)
+    # NaN compares False against the cap, so it needs its own check.
+    for symbol in (np.nan, np.inf, complex(0.5, np.nan)):
+        with pytest.raises(NonFiniteInputError):
+            PilotSequence([symbol, 0.5], max_amplitude=1.0)
 
 
 def test_pa_polynomial_rejects_empty():
     with pytest.raises(ValueError):
         PaPolynomial([])
+
+
+def test_pa_polynomial_rejects_nonfinite_coefficients():
+    for coefficients in ([np.nan], [1.0, np.inf], [complex(1.0, np.nan)]):
+        with pytest.raises(NonFiniteInputError):
+            PaPolynomial(coefficients)
