@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PilotAllocationError, RankDeficiencyError
 from .estimators import _checked_design, _factor, _Factor, _seeded_rng
-from .pa_model import PilotSequence, _require_integer, build_design_matrix
+from .pa_model import PilotSequence, _require_integer, _require_real, build_design_matrix
 
 # Exchange search: a sweep that moves no pilot ends it.  A move must raise the
 # determinant by more than EXCHANGE_MIN_GAIN relative, so that rounding noise
@@ -77,14 +77,14 @@ def allocate_pilots(order: int, n_pilots: int, max_amplitude: float = 1.0) -> Pi
     The phases are zero; they never affect the estimation error covariances.
     """
     multiplicity = _multiplicity(order, n_pilots)
-    amplitudes = np.repeat(optimal_support_points(order) * max_amplitude, multiplicity)
+    amplitudes = np.repeat(optimal_support_points(order) * _require_real(max_amplitude, "max_amplitude"), multiplicity)
     return PilotSequence(amplitudes.astype(complex), max_amplitude)
 
 
 def uniform_pilots(n_pilots: int, max_amplitude: float = 1.0) -> PilotSequence:
     """Baseline allocation with amplitudes ``(1/N, 2/N, ..., 1) * max_amplitude``."""
     _require_integer(n_pilots, "n_pilots", 1)
-    amplitudes = np.arange(1, n_pilots + 1) / n_pilots * max_amplitude
+    amplitudes = np.arange(1, n_pilots + 1) / n_pilots * _require_real(max_amplitude, "max_amplitude")
     return PilotSequence(amplitudes.astype(complex), max_amplitude)
 
 

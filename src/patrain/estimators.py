@@ -44,7 +44,6 @@ Every other entry point factors its design afresh.
 import contextlib
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +56,8 @@ from .errors import (
     RankDeficiencyError,
 )
 from .pa_model import (
-    CONDITION_LIMIT, PaPolynomial, PilotSequence, _require_finite, _require_integer, basis_rows, eval_polynomial
+    CONDITION_LIMIT, PaPolynomial, PilotSequence, _require_finite, _require_integer, _require_real, basis_rows,
+    eval_polynomial,
 )
 
 # Prior directions whose eigenvalue is at or below this fraction of the mean
@@ -129,12 +129,10 @@ class PriorStatistics:
     _whiten: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=complex))
-        cov = np.asarray(self.covariance, dtype=complex)
+        mean = np.atleast_1d(_require_finite(self.mean, "prior mean", error=InvalidPriorError))
+        cov = _require_finite(self.covariance, "prior covariance", error=InvalidPriorError)
         if cov.shape != (mean.size, mean.size):
             raise DimensionMismatchError("covariance shape must match the mean length")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise InvalidPriorError("prior mean and covariance must be finite")
         if np.abs(cov - cov.conj().T).max(initial=0.0) > 1e-12 * np.abs(cov).max(initial=0.0):
             raise InvalidPriorError("covariance must be Hermitian within 1e-12 of its largest entry")
         # A covariance computed as E[b b^H] - m m^H carries round-off on the
@@ -172,14 +170,12 @@ class MseCurve:
     mse_values: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=float)
-        vals = np.asarray(self.mse_values, dtype=float)
+        amps = _require_finite(self.amplitudes, "amplitudes", float, nonnegative=True)
+        vals = _require_finite(self.mse_values, "mse values", float, nonnegative=True)
         if amps.shape != vals.shape or amps.ndim != 1:
             raise DimensionMismatchError("amplitudes and mse_values must be vectors of equal length")
         if amps.size > 1 and not np.all(np.diff(amps) > 0):
             raise InvalidInputError("amplitudes must be strictly increasing")
-        if np.any(vals < 0):
-            raise InvalidInputError("mse values must be nonnegative")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "mse_values", vals)
 
@@ -361,7 +357,7 @@ def prediction_covariance(
     LMMSE counterpart when one is given.
     """
     factor = _factor(_checked_design(design, prior), prior)
-    prediction_design = np.asarray(prediction_design, dtype=complex)
+    prediction_design = _require_finite(prediction_design, "prediction matrix")
     if prediction_design.ndim != 2 or prediction_design.shape[1] != factor.basis.shape[0]:
         raise DimensionMismatchError("prediction matrix width must match the design matrix")
     return factor.covariance(sigma2, prediction_design)
@@ -374,7 +370,7 @@ def prediction_mse(
     prior: PriorStatistics | None = None,
 ) -> float:
     """Prediction MSE at one finite input value; a function of ``abs(s_tilde)`` only."""
-    return float(mse_curve(design, [abs(s_tilde)], sigma2, prior).mse_values[0])
+    return float(mse_curve(design, np.abs(_require_finite([s_tilde], "s_tilde")), sigma2, prior).mse_values[0])
 
 
 def mse_curve(
@@ -384,9 +380,7 @@ def mse_curve(
     prior: PriorStatistics | None = None,
 ) -> MseCurve:
     """Prediction MSE sampled on a grid of finite nonnegative amplitudes."""
-    amplitudes = _require_finite(amplitudes, "amplitude grid", float)
-    if (amplitudes < 0).any():
-        raise InvalidInputError("amplitudes must be nonnegative")
+    amplitudes = _require_finite(amplitudes, "amplitude grid", float, nonnegative=True)
     factor, scale = _scale_free_factor(design, prior)
     rows = basis_rows(np.atleast_1d(amplitudes / scale), factor.basis.shape[0])
     return MseCurve(amplitudes, factor.rows_mse(rows, [sigma2])[:, 0])
@@ -643,13 +637,12 @@ def max_prediction_mse(
     plan's maximum at ``sigma2 = 1``.  The design checks run on every call, then the
     noise check and the rank test of every ``sigma2``; the first that fails raises.
     """
-    if not (isinstance(max_amplitude, numbers.Real) and 0 < max_amplitude < math.inf):
-        raise InvalidInputError("max_amplitude must be a positive and finite real number")
+    max_amplitude = _require_real(max_amplitude, "max_amplitude")
     sigma2s = np.asarray(sigma2)
     if sigma2s.ndim > 1 or sigma2s.size == 0:
         raise DimensionMismatchError("sigma2 must be a number or a nonempty 1-D array")
     design = _checked_design(design, prior)
-    maxima, _ = _max_plan(design.shape, design.tobytes(), prior, float(max_amplitude)).max_mse(sigma2s.reshape(-1))
+    maxima, _ = _max_plan(design.shape, design.tobytes(), prior, max_amplitude).max_mse(sigma2s.reshape(-1))
     return float(maxima[0]) if sigma2s.ndim == 0 else maxima
 
 

@@ -16,7 +16,9 @@ from .estimators import (
     lmmse_estimate,
     mse_curve,
 )
-from .pa_model import PilotSequence, RappParameters, _require_integer, basis_rows, build_design_matrix, rapp_response
+from .pa_model import (
+    PilotSequence, RappParameters, _require_integer, _require_real, basis_rows, build_design_matrix, rapp_response
+)
 # perfbench's tracer wraps build_prior, draw_rapp_params and CsvTable here, so
 # they stay importable from this module.
 from .prior import (
@@ -59,11 +61,11 @@ def snr_db_to_sigma2(snr_db: float, convention: str, n_pilots: int) -> float:
     """
     if convention not in (PER_SYMBOL, TOTAL):
         raise InvalidInputError(f"unknown SNR convention: {convention!r}")
+    snr_db, n_pilots = _require_real(snr_db, "snr_db", signed=True), _require_integer(n_pilots, "n_pilots", 1)
     try:
-        snr = 10.0 ** (snr_db / 10.0) * (n_pilots if convention == TOTAL else 1)
-    except OverflowError:
-        snr = math.inf
-    sigma2 = 1.0 / snr if snr > 0 else math.inf
+        sigma2 = 1.0 / (10.0 ** (snr_db / 10.0) * (n_pilots if convention == TOTAL else 1))
+    except (OverflowError, ZeroDivisionError):  # an SNR beyond the float range, either way
+        sigma2 = 0.0 if snr_db > 0 else math.inf
     _require_noise_variance(sigma2)
     return sigma2
 
@@ -111,7 +113,7 @@ def run_fig3(
     The confidence band is the empirical mean of the response amplitude across
     realizations plus/minus two standard deviations.
     """
-    grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
+    grid = default_fit_grid() if fit_grid is None else fit_grid
     dist = RappDistribution()
     nominal_params = RappParameters(dist.gain_mean, dist.v_sat_mean, dist.smoothness_mean)
     # The fit checks the grid, so it comes before any draw.
@@ -151,7 +153,7 @@ def run_fig4(
     # The designs come first, so a bad pilot count fails before the prior fits.
     pilots = (uniform_pilots(n_pilots), allocate_pilots(order, n_pilots))
     designs = [build_design_matrix(sequence, order) for sequence in pilots]
-    grid = default_fit_grid() if fit_grid is None else np.asarray(fit_grid, dtype=float)
+    grid = default_fit_grid() if fit_grid is None else fit_grid
     dist = RappDistribution()
     # One set of fits and one second moment serve both modes; each prior equals build_prior's.
     moments = fit_moments(fit_realizations(PriorConfig(realizations, order, grid, COHERENT, seed), dist))

@@ -8,6 +8,8 @@ which is linear in the coefficients once the pilot symbols are expanded into a
 design matrix with entries s_n * |s_n|^(l-1).
 """
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -36,12 +38,34 @@ def _require_integer(value, label: str, minimum: int | None = None) -> int:
     return value
 
 
-def _require_finite(values, label: str, dtype=complex) -> np.ndarray:
-    """``values`` as an array of ``dtype``; a NaN or infinite entry raises :class:`NonFiniteInputError`."""
-    values = np.asarray(values, dtype=dtype)
-    if not np.isfinite(values).all():
-        raise NonFiniteInputError(f"{label} holds NaN or infinite entries")
-    return values
+def _require_real(value, label: str, nonnegative: bool = False, signed: bool = False) -> float:
+    """``value`` as a float if it is a finite real number that is strictly positive, or also zero with
+    ``nonnegative``, or of either sign with ``signed``; anything else raises :class:`InvalidInputError`."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.nan
+    if math.isfinite(number) and (number > 0 or signed or (nonnegative and number == 0)):
+        return number
+    rule = "" if signed else "nonnegative " if nonnegative else "strictly positive "
+    raise InvalidInputError(f"{label} must be a {rule}finite real number, got {value!r}")
+
+
+def _require_finite(values, label: str, dtype=complex, nonnegative: bool = False, error=NonFiniteInputError):
+    """``values`` as an array of ``dtype``; text, a ragged list, complex values for a real ``dtype`` or, with
+    ``nonnegative``, a negative entry raise :class:`InvalidInputError`, and a NaN or infinite entry ``error``."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged list
+        array = np.asarray(None)
+    if array.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        raise InvalidInputError(f"{label} must hold {np.dtype(dtype).name} numbers only")
+    array = array.astype(dtype, copy=False)
+    if not np.isfinite(array).all():
+        raise error(f"{label} holds NaN or infinite entries")
+    if nonnegative and (array < 0).any():
+        raise InvalidInputError(f"{label} must be nonnegative")
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +100,8 @@ class PilotSequence:
         symbols = np.atleast_1d(_require_finite(self.symbols, "symbols"))
         if symbols.ndim != 1:
             raise InvalidInputError("symbols must be a vector")
-        if not 0 < self.max_amplitude < np.inf:
-            raise InvalidInputError("max_amplitude must be positive and finite")
-        if symbols.size and np.abs(symbols).max() / (1 + AMPLITUDE_TOLERANCE) > self.max_amplitude:
+        cap = _require_real(self.max_amplitude, "max_amplitude")
+        if symbols.size and np.abs(symbols).max() / (1 + AMPLITUDE_TOLERANCE) > cap:
             raise InvalidInputError("pilot amplitude exceeds max_amplitude")
         object.__setattr__(self, "symbols", symbols)
 
@@ -98,14 +121,14 @@ class RappParameters:
     smoothness: float = 2.0
 
     def __post_init__(self) -> None:
-        if not all(0 < value < np.inf for value in (self.gain, self.v_sat, self.smoothness)):
-            raise InvalidInputError("all Rapp parameters must be strictly positive and finite")
+        for label in ("gain", "v_sat", "smoothness"):
+            _require_real(getattr(self, label), label)
 
 
 def eval_polynomial(model: PaPolynomial, s):
     """Evaluate ``f(s) = sum_l beta_l s |s|^(l-1)`` at scalar or array input as ``basis_rows(s, L) @ beta``,
     so noise-free observations equal the ``Phi beta`` of the estimators bit for bit."""
-    s_arr = np.asarray(s, dtype=complex)
+    s_arr = _require_finite(s, "input")
     out = basis_rows(s_arr, model.order) @ model.coefficients
     return complex(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
@@ -130,9 +153,7 @@ def rapp_response(params: RappParameters, amplitude):
     has no AM/PM distortion, so the response to a complex input is this amplitude
     response times the input phase factor.
     """
-    a = np.asarray(amplitude, dtype=float)
-    if np.any(a < 0):
-        raise InvalidInputError("amplitude must be nonnegative")
+    a = _require_finite(amplitude, "amplitude", float, nonnegative=True)
     out = rapp_am_am(params.gain, params.v_sat, params.smoothness, a)
     return float(out) if np.isscalar(amplitude) or a.ndim == 0 else out
 
@@ -142,7 +163,11 @@ def rapp_am_am(gain, v_sat, smoothness, amplitude):
 
     Parameter arrays shaped ``(k, 1)`` against an amplitude grid shaped ``(G,)``
     give the ``(k, G)`` responses of ``k`` amplifiers without a Python loop.
-    Nothing is validated here.
+    Where ``G a`` or ``(G a / V_sat)^(2 S)`` overflows, the response is its limit ``V_sat``; nothing is validated here.
     """
-    driven = gain * amplitude
-    return driven / (1.0 + (driven / v_sat) ** (2.0 * smoothness)) ** (1.0 / (2.0 * smoothness))
+    with np.errstate(over="ignore", invalid="ignore"):
+        driven = gain * amplitude
+        power = (driven / v_sat) ** (2.0 * smoothness)
+        response = np.asarray(driven / (1.0 + power) ** (1.0 / (2.0 * smoothness)))
+    np.copyto(response, v_sat, where=np.isinf(power))
+    return response

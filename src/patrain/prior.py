@@ -23,7 +23,8 @@ import numpy as np
 from .errors import CsvFormatError, DimensionMismatchError, InvalidInputError, RankDeficiencyError
 from .estimators import PriorStatistics, _seeded_rng
 from .pa_model import (
-    PaPolynomial, RappParameters, _require_finite, _require_integer, basis_rows, rapp_am_am, rapp_response
+    PaPolynomial, RappParameters, _require_finite, _require_integer, _require_real, basis_rows, rapp_am_am,
+    rapp_response,
 )
 
 COHERENT = "coherent"
@@ -45,9 +46,7 @@ def _fit_grid_size(max_amplitude: float, step: float) -> int:
     ``max_amplitude / step`` must be a whole number of steps, at least 1, within
     1e-9 relative, so that the grid spacing is the step asked for.
     """
-    if not (0 < max_amplitude < math.inf and 0 < step < math.inf):
-        raise InvalidInputError("fit grid bounds must be positive and finite")
-    ratio = float(max_amplitude) / float(step)
+    ratio = _require_real(max_amplitude, "fit grid maximum") / _require_real(step, "fit grid step")
     if not math.isfinite(ratio):
         raise InvalidInputError(f"fit grid from 0 to {max_amplitude} in steps of {step} has too many points")
     steps = round(ratio)
@@ -76,14 +75,9 @@ class RappDistribution:
     smoothness_variance: float = 0.1
 
     def __post_init__(self) -> None:
-        means = (self.gain_mean, self.v_sat_mean, self.smoothness_mean)
-        variances = (self.gain_variance, self.v_sat_variance, self.smoothness_variance)
-        # With every mean positive, a drawn triple is all positive with
-        # probability at least 1/8, so the rejection loops end.
-        if not all(0 < mean < math.inf for mean in means):
-            raise InvalidInputError("means must be positive and finite")
-        if not all(0 <= variance < math.inf for variance in variances):
-            raise InvalidInputError("variances must be nonnegative and finite")
+        # Positive means keep a drawn triple all positive with probability >= 1/8, so the rejection loops end.
+        for name, value in vars(self).items():
+            _require_real(value, name, nonnegative=name.endswith("variance"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +94,7 @@ class PriorConfig:
         _require_integer(self.realizations, "realizations", 1)
         if self.mode not in (COHERENT, NONCOHERENT):
             raise InvalidInputError(f"unknown prior mode: {self.mode!r}")
-        grid = np.asarray(self.fit_grid, dtype=float)
-        _check_fit_grid(grid, self.fit_order)
-        object.__setattr__(self, "fit_grid", grid)
+        object.__setattr__(self, "fit_grid", _check_fit_grid(self.fit_grid, self.fit_order))
 
 
 def draw_rapp_params(dist: RappDistribution, rng: np.random.Generator) -> RappParameters:
@@ -142,9 +134,7 @@ def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count
     realizations run along the long inner axis, and yielded column-major.
     """
     _require_integer(count, "realization count", 1)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0):
-        raise InvalidInputError("amplitude must be nonnegative")
+    grid = _require_finite(grid, "amplitude grid", float, nonnegative=True)
     loc = np.array([dist.gain_mean, dist.v_sat_mean, dist.smoothness_mean])
     scale = np.sqrt([dist.gain_variance, dist.v_sat_variance, dist.smoothness_variance])
     for start in range(0, count, FIT_BLOCK):
@@ -152,14 +142,15 @@ def rapp_response_blocks(dist: RappDistribution, rng: np.random.Generator, count
         yield rapp_am_am(gain, v_sat, smoothness, grid[:, None]).T
 
 
-def _check_fit_grid(grid: np.ndarray, order: int) -> None:
-    """Reject an order below 1, a non-finite grid, and a grid on which the fit is rank deficient."""
+def _check_fit_grid(grid, order: int) -> np.ndarray:
+    """The float array ``grid``, checked: the order is at least 1, the grid finite numbers, the fit of full rank."""
     _require_integer(order, "fit order", 1)
-    _require_finite(grid, "fit grid", float)
+    grid = _require_finite(grid, "fit grid", float)
     # Distinct points counted from a sorted copy: np.unique would import numpy.ma.
     positive = np.sort(grid[grid > 0])
     if np.count_nonzero(np.diff(positive) > 0) + (positive.size > 0) < order:
         raise RankDeficiencyError("fit grid needs at least order distinct positive points")
+    return grid
 
 
 def _fit_projector(grid: np.ndarray, order: int) -> np.ndarray:
@@ -171,8 +162,7 @@ def _fit_projector(grid: np.ndarray, order: int) -> np.ndarray:
 
 def fit_polynomial_to_curve(params: RappParameters, order: int, grid: np.ndarray) -> PaPolynomial:
     """Least-squares polynomial fit to the Rapp response sampled on ``grid``."""
-    grid = np.asarray(grid, dtype=float)
-    _check_fit_grid(grid, order)
+    grid = _check_fit_grid(grid, order)
     return PaPolynomial(rapp_response(params, grid) @ _fit_projector(grid, order))
 
 

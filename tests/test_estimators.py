@@ -23,6 +23,7 @@ from patrain import (
     allocate_pilots,
     build_design_matrix,
     d_criterion,
+    eval_polynomial,
     exchange_search_verify,
     generate_noisy_observations,
     legendre_derivative_roots,
@@ -1386,11 +1387,58 @@ def test_domain_errors_are_invalid_input_and_value_errors():
         # experiments
         lambda: run_fig3(realizations=0),
         lambda: run_fig3(seed=-1),
+        lambda: snr_db_to_sigma2(0.0, "total", 0),
+        # Text and ragged lists at every array input
+        lambda: mse_curve(phi, "abc", 1.0),
+        lambda: prediction_mse(phi, "0.5", 1.0),
+        lambda: rapp_response(RappParameters(), "0.5"),
+        lambda: rapp_response(RappParameters(), 0.5j),
+        lambda: mse_curve(phi, [0.5 + 0.5j], 1.0),
+        lambda: list(rapp_response_blocks(RappDistribution(), np.random.default_rng(0), 1, ["a"])),
+        lambda: eval_polynomial(PaPolynomial([1.0]), "0.5"),
+        lambda: MseCurve(["0", "1"], [1.0, 1.0]),
+        lambda: MseCurve([0.0, 1.0], "ab"),
+        lambda: prediction_covariance(phi, [["a", "b", "c"]], 1.0),
+        lambda: PilotSequence("0.5"),
+        lambda: PilotSequence([[0.5], [0.5, 0.25]]),
+        lambda: PaPolynomial(["1.0"]),
+        lambda: ls_estimate(phi, ["1", "2", "3"], 1.0),
+        lambda: ls_estimate([["a"] * 3] * 3, np.zeros(3), 1.0),
+        lambda: lmmse_estimate(phi, [None, 1.0, 1.0], 1.0, PriorStatistics(np.zeros(3), np.eye(3))),
+        lambda: PriorStatistics(["0", "0"], np.eye(2)),
+        lambda: PriorStatistics(np.zeros(2), "eye"),
+        lambda: PriorConfig(fit_grid=["0.5"]),
+        lambda: fit_polynomial_to_curve(RappParameters(), 2, "grid"),
+        lambda: run_fig3(fit_grid=["0.5", "1.0"]),
     ]
     for call in calls:
         with pytest.raises(InvalidInputError) as info:
             call()
         assert isinstance(info.value, ValueError)
+    nonfinite_calls = [
+        lambda: mse_curve(phi, [0.5, np.nan], 1.0),
+        lambda: prediction_mse(phi, np.nan, 1.0),
+        lambda: rapp_response(RappParameters(), [0.0, np.nan]),
+        lambda: rapp_response(RappParameters(), np.nan),
+        lambda: list(rapp_response_blocks(RappDistribution(), np.random.default_rng(0), 1, [0.5, np.nan])),
+        lambda: eval_polynomial(PaPolynomial([1.0]), [0.5, np.nan]),
+        lambda: MseCurve([0.0, np.inf], [1.0, 1.0]),
+        lambda: MseCurve([0.0, 1.0], [1.0, np.nan]),
+        lambda: prediction_covariance(phi, [[np.nan, 0.0, 0.0]], 1.0),
+        lambda: PilotSequence([np.nan]),
+        lambda: PaPolynomial([np.nan]),
+        lambda: ls_estimate(phi, [np.nan, 0.0, 0.0], 1.0),
+        lambda: ls_estimate(np.full((3, 3), np.nan), np.zeros(3), 1.0),
+        lambda: PriorConfig(fit_grid=[0.5, np.nan]),
+        lambda: fit_polynomial_to_curve(RappParameters(), 2, [0.5, 1.0, np.inf]),
+    ]
+    for call in nonfinite_calls:
+        with pytest.raises(NonFiniteInputError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+    # A prior that is not finite stays a prior error.
+    with pytest.raises(InvalidPriorError):
+        PriorStatistics([np.nan, 0.0], np.eye(2))
     # Too few distinct grid points is a rank error, wherever it is found.
     with pytest.raises(RankDeficiencyError) as info:
         PriorConfig(fit_order=7, fit_grid=np.array([0.0, 0.5, 1.0]))
@@ -1414,6 +1462,7 @@ NON_INTEGER_COUNT_CALLS = {
     "fig3-seed": lambda: run_fig3(seed=1.5),
     "fig3-realizations": lambda: run_fig3(realizations=2.5),
     "fig2-order": lambda: run_fig2(2.5),
+    "snr-pilots": lambda: snr_db_to_sigma2(0.0, "total", 2.5),
 }
 
 
@@ -1423,6 +1472,54 @@ def test_a_count_that_is_no_integer_is_an_input_error(call):
     # even a whole one, used to be truncated or to fail inside numpy.
     with pytest.raises(InvalidInputError, match="must be an integer"):
         call()
+
+
+# Every real scalar a library function takes, as a function of that value:
+# strictly positive unless NONNEGATIVE_REALS or SIGNED_REALS names it.
+NON_REAL_NUMBER_CALLS = {
+    "pilot-cap": lambda x: PilotSequence([0.5], max_amplitude=x),
+    "rapp-gain": lambda x: RappParameters(gain=x),
+    "rapp-v-sat": lambda x: RappParameters(v_sat=x),
+    "rapp-smoothness": lambda x: RappParameters(smoothness=x),
+    "gain-mean": lambda x: RappDistribution(gain_mean=x),
+    "v-sat-mean": lambda x: RappDistribution(v_sat_mean=x),
+    "smoothness-mean": lambda x: RappDistribution(smoothness_mean=x),
+    "gain-variance": lambda x: RappDistribution(gain_variance=x),
+    "v-sat-variance": lambda x: RappDistribution(v_sat_variance=x),
+    "smoothness-variance": lambda x: RappDistribution(smoothness_variance=x),
+    "fit-grid-max": lambda x: default_fit_grid(x, 0.0625),
+    "fit-grid-step": lambda x: default_fit_grid(1.5, x),
+    "max-mse-cap": lambda x: max_prediction_mse(build_design_matrix(uniform_pilots(3), 3), 1.0, max_amplitude=x),
+    "allocation-cap": lambda x: allocate_pilots(3, 3, x),
+    "uniform-cap": lambda x: uniform_pilots(3, x),
+    "snr-db": lambda x: snr_db_to_sigma2(x, "per-symbol", 7),
+}
+NONNEGATIVE_REALS = {"gain-variance", "v-sat-variance", "smoothness-variance"}
+SIGNED_REALS = {"snr-db"}
+
+
+@pytest.mark.parametrize("value", ["2.5", None, 1j, np.array([1.0, 2.0])], ids=["text", "none", "complex", "array"])
+@pytest.mark.parametrize("site", NON_REAL_NUMBER_CALLS)
+def test_a_real_parameter_that_is_no_real_number_is_an_input_error(site, value):
+    # These used to end in a bare TypeError, ValueError or UFuncTypeError.
+    with pytest.raises(InvalidInputError, match="finite real number"):
+        NON_REAL_NUMBER_CALLS[site](value)
+
+
+@pytest.mark.parametrize("site", NON_REAL_NUMBER_CALLS)
+def test_a_real_parameter_outside_its_rule_is_an_input_error(site):
+    call = NON_REAL_NUMBER_CALLS[site]
+    rejected = [np.nan, np.inf, -np.inf, 10**400]
+    if site not in SIGNED_REALS:
+        rejected.append(-1.0)
+    if site in NONNEGATIVE_REALS or site in SIGNED_REALS:
+        call(0.0)
+    else:
+        rejected.append(0.0)
+    for value in rejected:
+        with pytest.raises(InvalidInputError, match="finite real number") as info:
+            call(value)
+        assert isinstance(info.value, ValueError)
 
 
 def test_array_holding_values_compare_by_identity_and_hash():

@@ -157,6 +157,21 @@ def test_rapp_rejects_negative_amplitude():
         rapp_response(RappParameters(), -0.1)
 
 
+def test_rapp_response_at_a_huge_smoothness_is_its_limit():
+    # (G a / V_sat)^(2 S) overflows at a = 2 from S = 512, and the response
+    # used to read 0.0 there, with a RuntimeWarning, where its limit is V_sat.
+    for smoothness in (600.0, 1e6):
+        params = RappParameters(1.0, 1.0, smoothness)
+        assert rapp_response(params, 0.5) == 0.5
+        assert rapp_response(params, 2.0) == 1.0
+        assert np.array_equal(rapp_response(params, [0.5, 2.0]), [0.5, 1.0])
+    # A finite response beside an overflowing one keeps the bits of its own call.
+    params = RappParameters(1.0, 1.0, 600.0)
+    assert rapp_response(params, [1.0005, 2.0])[0] == rapp_response(params, 1.0005) != 1.0005
+    # G a itself can overflow, and the response is V_sat there too, not inf / inf.
+    assert rapp_response(RappParameters(1e300, 1.0, 2.0), 1e10) == 1.0
+
+
 def test_rapp_parameters_must_be_positive():
     with pytest.raises(ValueError):
         RappParameters(gain=0.0)
