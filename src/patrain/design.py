@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PilotAllocationError, RankDeficiencyError
-from .estimators import _checked_design, _factor, _Factor, _seeded_rng
+from .estimators import _checked_design, _factor, _full_rank, _seeded_rng
 from .pa_model import PilotSequence, _require_integer, _require_real, build_design_matrix
 
 # Exchange search: a sweep that moves no pilot ends it.  A move must raise the
@@ -164,12 +164,8 @@ def exchange_search_verify(
     r = np.linalg.qr(basis[index], mode="r")
     # R has the singular values of the start rows, so they take the one rank
     # test.  Moves only raise the determinant, so a regular start stays regular.
-    try:
-        _Factor(None, np.linalg.svd(r, compute_uv=False), None, False).singular_values([1.0])
-    except RankDeficiencyError:
-        raise RankDeficiencyError(
-            f"exchange start on {grid_resolution + 1} grid points is singular at order {order}"
-        ) from None
+    if not _full_rank(np.linalg.svd(r, compute_uv=False)):
+        raise RankDeficiencyError(f"exchange start on {grid_resolution + 1} grid points is singular at order {order}")
     # Column y of w is M^-1 f(y) with M = R^T R, so d(x, y) = f(x) . w[:, y].
     r_inv = np.linalg.inv(r)
     z = r_inv.T @ basis.T

@@ -68,22 +68,30 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 _SMALLEST_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
-def _require_noise_variance(sigma2: float) -> None:
-    """Reject a noise variance that is not a real number (complex, a string, ``None``),
-    a non-finite one, or a subnormal one, whose few significant digits every MSE
-    scaled by it would keep.  Real means a bool, integer or float dtype."""
-    if not (np.asarray(sigma2).dtype.kind in "biuf" and math.isfinite(sigma2) and sigma2 >= _SMALLEST_NORMAL):
-        raise InvalidNoiseError(
-            f"noise variance must be real, finite and at least {_SMALLEST_NORMAL:.3g}, got {sigma2!r}"
-        )
+def _noise_variances(sigma2s) -> tuple[np.ndarray, tuple | np.ndarray]:
+    """The one noise-variance rule: ``sigma2s``, one number or a nonempty 1-D sweep, as a float array of its shape,
+    and which entries are finite and at least the smallest normal float (a subnormal one's few digits would pass
+    to every MSE it scales), a one-entry tuple for one number, so a scalar call builds no mask array.  Another
+    shape or a ragged list is a :class:`DimensionMismatchError`, and a complex, text or object dtype fails the check."""
+    try:
+        values = np.asarray(sigma2s)
+    except ValueError:  # a ragged list
+        values = np.empty((0, 0))
+    if values.ndim > 1 or values.size == 0:
+        raise DimensionMismatchError("sigma2 must be one number, or for max_prediction_mse a nonempty 1-D sweep")
+    _require_noise_variance(values.item() if values.size == 1 else sigma2s, values.dtype.kind in "biuf")
+    values = values.astype(float, copy=False)
+    # A Python float for one entry; the comparisons are False for NaN.
+    x = values.item() if values.size == 1 else values
+    passed = (x >= _SMALLEST_NORMAL) & (x < math.inf)
+    return values, (passed,) if values.size == 1 else passed
 
 
-def _noise_variances(sigma2s) -> np.ndarray:
-    """``sigma2s`` as a float array; one that is not real fails the noise check instead of being cast."""
-    sigma2s = np.asarray(sigma2s)
-    if sigma2s.dtype.kind not in "biuf":
-        _require_noise_variance(sigma2s)
-    return sigma2s.astype(float, copy=False)
+def _require_noise_variance(sigma2, passed: bool | None = None) -> None:
+    """Raise the one :class:`InvalidNoiseError`, naming ``sigma2``, unless ``passed`` (by default, as one number)."""
+    if not (all(_noise_variances([sigma2])[1]) if passed is None else passed):
+        raise InvalidNoiseError(f"noise variance must be real, finite and at least {_SMALLEST_NORMAL:.3g}, "
+                                f"got {sigma2!r}")
 
 
 def _require_finite_result(values: np.ndarray, label: str) -> np.ndarray:
@@ -180,6 +188,11 @@ class MseCurve:
         object.__setattr__(self, "mse_values", vals)
 
 
+def _full_rank(sv: np.ndarray) -> np.ndarray:
+    """The one rank test per column of ``sv``, sorted descending: ``cond < CONDITION_LIMIT``; an empty ``sv`` passes."""
+    return sv[-1] * CONDITION_LIMIT > sv[0] if len(sv) else np.ones(sv.shape[1:], dtype=bool)
+
+
 @dataclass(frozen=True, eq=False)
 class _Factor:
     """SVD ``Phi T = U diag(s) V^H`` of the whitened design; no noise variance in it.
@@ -196,23 +209,17 @@ class _Factor:
     regularized: bool
 
     def singular_values(self, sigma2s) -> np.ndarray:
-        """Singular values of the factored system, one column per noise variance
-        in ``sigma2s``, after each one's noise check and the one rank test,
-        ``cond >= CONDITION_LIMIT`` without dividing by zero (a system with no
-        direction left passes).  The first ``sigma2`` that fails either raises.
-        """
-        sigma2s = _noise_variances(sigma2s)
-        # The comparisons are False for NaN, and the abs keeps the square root
-        # quiet on a negative sigma2, which fails the noise check anyway.
-        valid = (sigma2s >= _SMALLEST_NORMAL) & (sigma2s < math.inf)
-        # LS passes zeros, and hypot(s, 0) is s bit for bit.
+        """Singular values of the factored system, one column per noise variance in ``sigma2s``, after each
+        one's noise check (:func:`_noise_variances`) and rank test (:func:`_full_rank`); the first failure raises."""
+        sigma2s, valid = _noise_variances(sigma2s)
+        # The abs keeps the square root quiet on a negative sigma2, which fails the noise check anyway.
         noise = np.sqrt(np.abs(sigma2s)) if self.regularized else np.zeros(sigma2s.shape)
+        # LS passes zeros, and hypot(s, 0) is s bit for bit; every column keeps the descending order of s.
         sv = np.hypot(self.s[:, None], noise)
-        # s comes sorted in descending order, and so does every column of sv.
-        passed = valid & (sv[-1] * CONDITION_LIMIT > sv[0]) if len(sv) else valid
+        passed = valid & _full_rank(sv)
         if not passed.all():
             j = passed.argmin()
-            _require_noise_variance(float(sigma2s[j]))
+            _require_noise_variance(float(sigma2s[j]), valid[j])
             top, bottom = float(sv[0, j]), float(sv[-1, j])
             raise RankDeficiencyError(
                 "the factored system is numerically rank deficient: condition number "
@@ -235,9 +242,8 @@ class _Factor:
         return self.basis[:, :m] @ (self.s[:m] / sv[:m] ** 2 * (self.u.conj().T @ residual))
 
     def weights(self, sigma2s) -> np.ndarray:
-        """``sigma2 / sv^2`` per direction (rows) and noise variance (columns); one
-        that overflows is ``inf``, so the callers take it under ``np.errstate``.
-        :meth:`singular_values` runs the call's one pass over ``sigma2s``."""
+        """``sigma2 / sv^2`` per direction (rows) and noise variance (columns), checked by :meth:`singular_values`;
+        one that overflows is ``inf``, so the callers take it under ``np.errstate``."""
         return sigma2s / self.singular_values(sigma2s) ** 2
 
     def energies(self, rows: np.ndarray) -> np.ndarray:
@@ -536,7 +542,7 @@ class _MaxPlan:
             self.bernstein.flags.writeable = False
         if not factor.regularized:
             with contextlib.suppress(RankDeficiencyError, InvalidNoiseError):
-                self.unit = tuple(column[0] for column in self.max_mse(np.ones(1)))
+                self.unit = tuple(column[0] for column in self.max_mse(np.ones(1), (True,)))
 
     def at_cap(self, weights: np.ndarray) -> np.ndarray:
         """Which columns of ``weights`` provably have their maximum MSE at the cap.
@@ -554,13 +560,13 @@ class _MaxPlan:
         bounds = (self.bernstein @ weights.T[..., None])[..., 0]
         return bounds[:, :-1].max(axis=1) + weights.shape[0] * _SMALLEST_SUBNORMAL <= bounds[:, -1]
 
-    def max_mse(self, sigma2s) -> tuple[np.ndarray, np.ndarray]:
-        """Maximal prediction MSE over ``t`` in ``[0, ratio]`` per noise variance
-        in the 1-D ``sigma2s``, and the ``t`` where each maximum sits.
+    def max_mse(self, sigma2s: np.ndarray, passed: tuple | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Maximal prediction MSE over ``t`` in ``[0, ratio]`` per noise variance in the 1-D float
+        ``sigma2s``, whose noise check is ``passed`` (:func:`_noise_variances`), and the ``t`` of each maximum.
 
-        LS scales ``unit`` after the noise check of each ``sigma2``, so it
-        raises only where that product overflows.  Otherwise the weights run
-        the noise check and the rank test, and each of their ``(k, 1)`` columns
+        LS raises for the first ``sigma2`` that fails it, else scales ``unit``, so
+        it raises only where that product overflows.  Otherwise the weights run
+        the noise check again with the rank test, and each of their ``(k, 1)`` columns
         takes its products alone, as in a call of its own.  A column that
         :meth:`at_cap` certifies takes the larger MSE of the two endpoints.
         Every other one takes the root step: its node values go to the
@@ -571,10 +577,9 @@ class _MaxPlan:
         factor, order, half = self.factor, self.factor.basis.shape[0], 0.5 * self.ratio
         with np.errstate(all="ignore"):
             if self.unit is not None:
-                sigma2s = _noise_variances(sigma2s)
                 # The rank test passed with the unit maximum and does not depend on sigma2.
-                for sigma2 in sigma2s:
-                    _require_noise_variance(float(sigma2))
+                if not all(passed):
+                    _require_noise_variance(float(sigma2s[np.argmin(passed)]), False)
                 maxima = sigma2s * self.unit[0]
                 return _require_finite_result(maxima, "prediction MSE"), np.full(sigma2s.size, self.unit[1])
             weights = _require_finite_result(factor.weights(sigma2s), "prediction MSE")
@@ -638,11 +643,10 @@ def max_prediction_mse(
     noise check and the rank test of every ``sigma2``; the first that fails raises.
     """
     max_amplitude = _require_real(max_amplitude, "max_amplitude")
-    sigma2s = np.asarray(sigma2)
-    if sigma2s.ndim > 1 or sigma2s.size == 0:
-        raise DimensionMismatchError("sigma2 must be a number or a nonempty 1-D array")
     design = _checked_design(design, prior)
-    maxima, _ = _max_plan(design.shape, design.tobytes(), prior, max_amplitude).max_mse(sigma2s.reshape(-1))
+    plan = _max_plan(design.shape, design.tobytes(), prior, max_amplitude)
+    sigma2s, passed = _noise_variances(sigma2)
+    maxima, _ = plan.max_mse(sigma2s.reshape(-1), passed)
     return float(maxima[0]) if sigma2s.ndim == 0 else maxima
 
 

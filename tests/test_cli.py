@@ -173,13 +173,23 @@ def test_estimate_dimension_mismatch(tmp_path):
     assert proc.returncode == 2
 
 
-def test_usage_error_exit_code():
-    proc = run_cli("fig1", "--sigma2", "-1")
+@pytest.mark.parametrize("command", ["fig1", "estimate"])
+@pytest.mark.parametrize("sigma2", ["-1", "0", "nan"])
+def test_usage_error_exit_code(command, sigma2, tmp_path):
+    # The CLI refuses a noise variance that is not above 0, NaN included, as a usage error.
+    args = [f"--sigma2={sigma2}"]
+    if command == "estimate":
+        (tmp_path / "pilots.csv").write_text("index,amp,phase\n0,0.5,0\n1,1,0\n")
+        (tmp_path / "obs.csv").write_text("index,re,im\n0,0.4,0\n1,0.9,0\n")
+        args += [str(tmp_path / "pilots.csv"), str(tmp_path / "obs.csv"), "--order", "1"]
+    proc = run_cli(command, *args)
     assert proc.returncode == 2
+    assert "sigma2 must be positive" in proc.stderr
 
 
-def test_infinite_noise_is_numerical_error(capsys):
-    assert cli.main(["fig1", "--sigma2", "inf"]) == 3
+@pytest.mark.parametrize("sigma2", ["inf", "1e-320"])
+def test_infinite_noise_is_numerical_error(sigma2, capsys):
+    assert cli.main(["fig1", f"--sigma2={sigma2}"]) == 3
     assert "noise variance" in capsys.readouterr().err
 
 

@@ -36,7 +36,7 @@ from patrain import (
     rapp_response,
     uniform_pilots,
 )
-from patrain.estimators import _factor, _max_plan, _MaxPlan, _node_plan, _NodePlan
+from patrain.estimators import _factor, _max_plan, _MaxPlan, _node_plan, _NodePlan, _noise_variances
 from patrain.experiments import (
     DEFAULT_SNR_SWEEP_DB, FIGURE_MSE_SAMPLES, CsvTable, run_fig1, run_fig2, run_fig3, snr_db_to_sigma2
 )
@@ -730,7 +730,7 @@ def test_order_one_maximum_sits_at_the_cap():
     # its maximum sits at the cap, found by the degree-1 step.
     phi = build_design_matrix(uniform_pilots(2), 1)
     sigma2s = np.array(EQUIVALENCE_SIGMA2S)
-    maxima, amplitudes = _MaxPlan(_factor(phi), 2.5).max_mse(sigma2s)
+    maxima, amplitudes = _MaxPlan(_factor(phi), 2.5).max_mse(*_noise_variances(sigma2s))
     assert_allclose(maxima, sigma2s * 2.5**2 / 1.25, rtol=1e-12)
     assert np.array_equal(amplitudes, [2.5] * 3)
 
@@ -753,7 +753,7 @@ def test_max_mse_with_a_round_off_leading_coefficient(order):
     # returned amplitude differs from it by at most 2.2e-16 relative.
     on_grid = factor.rows_mse(basis_rows(np.linspace(0.0, 1.0, 200_001), order), sigma2s).max(axis=0)
     for plan in (_fresh_plan(phi, prior, 1.0), _root_step_plan(phi, prior, 1.0)):
-        maxima, amplitudes = plan.max_mse(sigma2s)
+        maxima, amplitudes = plan.max_mse(*_noise_variances(sigma2s))
         assert (maxima >= on_grid * (1 - 1e-15)).all()
         assert_allclose(np.diag(factor.rows_mse(basis_rows(amplitudes, order), sigma2s)), maxima, rtol=1e-15, atol=0)
 
@@ -769,7 +769,7 @@ def test_root_step_finds_an_interior_maximum_at_every_order(order):
     phi = build_design_matrix(uniform_pilots(2 * order), order)
     cap, sigma2s = 0.5, np.array(EQUIVALENCE_SIGMA2S)
     factor = _factor(phi, prior)
-    maxima, amplitudes = _MaxPlan(factor, cap).max_mse(sigma2s)
+    maxima, amplitudes = _MaxPlan(factor, cap).max_mse(*_noise_variances(sigma2s))
     assert np.array_equal(max_prediction_mse(phi, sigma2s, prior, cap), maxima)
     assert ((amplitudes > 0.0) & (amplitudes < cap)).any()
     # Measured at L = 2..40: the 100,001-point grid maximum exceeds the
@@ -856,8 +856,8 @@ def test_certified_maxima_equal_the_root_step(order):
         plan = _MaxPlan(_factor(phi, prior), cap)
         plan.unit = None
         at_cap = plan.at_cap(plan.factor.weights(FIG4_SIGMA2S))
-        maxima, amplitudes = plan.max_mse(FIG4_SIGMA2S)
-        reference, located = _root_step_plan(phi, prior, cap).max_mse(FIG4_SIGMA2S)
+        maxima, amplitudes = plan.max_mse(*_noise_variances(FIG4_SIGMA2S))
+        reference, located = _root_step_plan(phi, prior, cap).max_mse(*_noise_variances(FIG4_SIGMA2S))
         assert_allclose(maxima[at_cap], reference[at_cap], rtol=1e-15, atol=0)
         assert (amplitudes[at_cap] == cap).all() and (located[at_cap] == cap).all()
         # Every other column takes the root step unchanged.
@@ -887,7 +887,7 @@ def test_most_lmmse_maxima_of_the_fig4_sweep_are_certified():
                     for prior in priors:
                         plan = _MaxPlan(_factor(phi, prior), 1.0)
                         passed = plan.at_cap(plan.factor.weights(FIG4_SIGMA2S))
-                        _, amplitudes = _root_step_plan(phi, prior, 1.0).max_mse(FIG4_SIGMA2S)
+                        _, amplitudes = _root_step_plan(phi, prior, 1.0).max_mse(*_noise_variances(FIG4_SIGMA2S))
                         assert (amplitudes[passed] == 1.0).all()
                         certified += passed.sum()
                         at_cap += (amplitudes == 1.0).sum()
@@ -944,7 +944,7 @@ def test_ls_maxima_scale_exactly_with_sigma2(order):
                 # The unit maximum is the root step that every LMMSE variance takes.
                 root_step = _fresh_plan(phi, None, cap)
                 root_step.unit = None
-                assert root_step.max_mse(np.ones(1))[0][0] == unit
+                assert root_step.max_mse(*_noise_variances(np.ones(1)))[0][0] == unit
                 checked += 1
     assert checked >= 6
 
@@ -963,6 +963,29 @@ def test_the_first_failing_noise_variance_decides_the_error():
         ):
             with pytest.raises(error):
                 call()
+
+
+def test_the_first_failing_noise_variance_decides_the_ls_error():
+    # A full-rank LS design whose plan is memoized takes the unit path, where
+    # only the noise check can fail.  With N = 2 < L = 4 the LS system fails
+    # the rank test at every sigma2, so a NaN raises only if it comes first.
+    full = build_design_matrix(allocate_pilots(4, 8), 4)
+    max_prediction_mse(full, 1.0)
+    assert _plan_of(full, None).unit is not None
+    deficient = build_design_matrix(uniform_pilots(2), 4)
+    with pytest.raises(RankDeficiencyError):
+        max_prediction_mse(deficient, 1.0)
+    assert _plan_of(deficient, None).unit is None
+    cases = [
+        (full, [1.0, np.nan], InvalidNoiseError),
+        (full, [np.nan, 1.0], InvalidNoiseError),
+        (deficient, [1.0, np.nan], RankDeficiencyError),
+        (deficient, [np.nan, 1.0], InvalidNoiseError),
+    ]
+    for phi, sigma2s, error in cases:
+        for sweep in (sigma2s, np.array(sigma2s)):
+            with pytest.raises(error):
+                max_prediction_mse(phi, sweep)
 
 
 @pytest.mark.parametrize("order", [2, 5, 9])
@@ -1117,7 +1140,7 @@ def test_max_prediction_mse_location_matches_a_dense_grid(order):
     points = 200_001
     for phi, prior, cap, allocation in _equivalence_cases(order):
         factor = _factor(phi, prior)
-        maxima, amplitudes = _MaxPlan(factor, cap).max_mse(EQUIVALENCE_SIGMA2S)
+        maxima, amplitudes = _MaxPlan(factor, cap).max_mse(*_noise_variances(EQUIVALENCE_SIGMA2S))
         grid = np.linspace(0.0, cap, points)
         on_grid = factor.rows_mse(basis_rows(grid, order), EQUIVALENCE_SIGMA2S)
         for j, sigma2 in enumerate(EQUIVALENCE_SIGMA2S):
@@ -1176,7 +1199,7 @@ def test_max_prediction_mse_matches_a_50_digit_reference(order):
     for prior, sigma2 in ((None, 1.0), (PriorStatistics(np.zeros(order), covariance), 1e-3)):
         with mp.workdps(50):
             reference, mse = _high_precision_max_mse(mp, phi, sigma2, None if prior is None else covariance)
-            maxima, amplitudes = _plan_of(phi, prior).max_mse(np.array([sigma2]))
+            maxima, amplitudes = _plan_of(phi, prior).max_mse(*_noise_variances(np.array([sigma2])))
             assert 0 < amplitudes[0] < 1
             assert max_prediction_mse(phi, sigma2, prior) == maxima[0]
             assert abs(maxima[0] / reference - 1) <= tolerance
@@ -1260,10 +1283,40 @@ def test_every_estimator_rejects_invalid_noise(sigma2):
         lambda: max_prediction_mse(phi, sigma2, prior),
         lambda: max_prediction_mse(phi, [0.1, sigma2, 1.0]),
         lambda: max_prediction_mse(phi, np.array([0.1, sigma2]), prior),
+        lambda: d_criterion(phi, sigma2),
+        lambda: run_fig1(3, 3, sigma2),
     ]
     for call in calls:
         with pytest.raises(InvalidNoiseError):
             call()
+
+
+# Every entry point that takes one noise variance, as a function of it.
+NON_SCALAR_NOISE_CALLS = {
+    "ls_estimate": lambda phi, prior, sigma2: ls_estimate(phi, np.zeros(3), sigma2),
+    "lmmse_estimate": lambda phi, prior, sigma2: lmmse_estimate(phi, np.zeros(3), sigma2, prior),
+    "prediction_covariance": lambda phi, prior, sigma2: prediction_covariance(phi, phi, sigma2),
+    "prediction_mse": lambda phi, prior, sigma2: prediction_mse(phi, 0.5, sigma2),
+    "mse_curve": lambda phi, prior, sigma2: mse_curve(phi, [0.0, 1.0], sigma2),
+    "d_criterion": lambda phi, prior, sigma2: d_criterion(phi, sigma2),
+    "NoiseModel": lambda phi, prior, sigma2: NoiseModel(sigma2),
+    "run_fig1": lambda phi, prior, sigma2: run_fig1(3, 3, sigma2),
+}
+
+
+@pytest.mark.parametrize(
+    "sigma2",
+    [np.array([1.0, 2.0]), [1.0], np.ones((1, 1)), [[1.0], [1.0, 2.0]]],
+    ids=["vector", "one-entry-list", "1x1", "ragged"],
+)
+@pytest.mark.parametrize("entry", NON_SCALAR_NOISE_CALLS)
+def test_a_noise_variance_that_is_no_number_is_a_dimension_error(entry, sigma2):
+    # An array used to be read silently (prediction_covariance mixed its entries,
+    # mse_curve and run_fig1 kept the first) or to end in a bare ValueError or TypeError.
+    phi = build_design_matrix(allocate_pilots(3, 3), 3)
+    prior = PriorStatistics(np.zeros(3), np.eye(3, dtype=complex))
+    with pytest.raises(DimensionMismatchError):
+        NON_SCALAR_NOISE_CALLS[entry](phi, prior, sigma2)
 
 
 COMPLEX_NOISE_CALLS = {
@@ -1308,7 +1361,9 @@ def test_a_noise_variance_that_is_not_a_real_number_is_a_noise_error(entry, sigm
         NON_NUMERIC_NOISE_CALLS[entry](phi, prior, sigma2)
 
 
-@pytest.mark.parametrize("sigma2", [[], np.ones((2, 2)), [[0.1, 1.0]]], ids=["empty", "2x2", "1x2"])
+@pytest.mark.parametrize(
+    "sigma2", [[], np.ones((2, 2)), [[0.1, 1.0]], [[1.0], [1.0, 2.0]]], ids=["empty", "2x2", "1x2", "ragged"]
+)
 def test_max_prediction_mse_rejects_a_noise_variance_that_is_no_number_or_vector(sigma2):
     phi = build_design_matrix(allocate_pilots(3, 3), 3)
     with pytest.raises(DimensionMismatchError):
